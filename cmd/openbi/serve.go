@@ -29,7 +29,7 @@ func cmdServe(args []string) error {
 	cacheSize := fs.Int("cache", 1024, "advice LRU cache entries (0 disables)")
 	batchWindow := fs.Duration("batch-window", 2*time.Millisecond, "micro-batching window for concurrent advise calls (0 = no added latency)")
 	batchMax := fs.Int("batch-max", 64, "max advise calls scored in one batch")
-	reqTimeout := fs.Duration("request-timeout", 10*time.Second, "deadline for an advise call waiting on its scoring batch")
+	reqTimeout := fs.Duration("request-timeout", 10*time.Second, "deadline for an advise call waiting on its scoring batch, and for a request waiting in the admission queue before it is shed with 429")
 	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown drain deadline")
 	maxInflight := fs.Int("max-inflight", 64, "admission control: concurrent advise/profile calls before queueing (0 disables)")
 	queueDepth := fs.Int("queue-depth", -1, "admission control: bounded wait queue past max-inflight; excess is shed with 429 (-1 = max-inflight)")

@@ -107,8 +107,15 @@ func (s *Snapshot) Sensitivity(algorithm string, criterion dq.Criterion) float64
 // whose dq severity vector (dq.AllCriteria order) is given: clean baseline
 // minus the interpolated per-criterion losses, additive across criteria.
 // The additive composition is first-order; the Phase-2 mixed experiments
-// measure how far reality departs from it, and the advisor's validation
-// experiment (F2-ADV) shows it ranks algorithms well regardless.
+// measure how far reality departs from it. The advisor-validation
+// experiment (F2-ADV, experiment.Validate) does not show that the ranking
+// is good: it reports the advisor's top-1/top-2 hit rates and mean kappa
+// regret beside the regret of the best single algorithm chosen in
+// hindsight, and nothing more. Over 100 trials on each of three held-out
+// seeds with the default `experiments -rows 500 -folds 5 -seed 42` KB,
+// the advisor's mean regret was on par with always choosing logistic (the
+// KB's best clean baseline, a choice that needs no profiling) and higher
+// than always choosing naive-bayes on every seed.
 func (s *Snapshot) PredictKappa(algorithm string, severities []float64) float64 {
 	pred := s.baselines[algorithm]
 	for _, c := range dq.AllCriteria() {

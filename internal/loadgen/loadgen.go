@@ -13,9 +13,12 @@
 //     request the moment the previous response lands. Offered load adapts
 //     to the server — this measures capacity.
 //   - Open loop (RPS > 0): requests fire on a fixed schedule regardless
-//     of response times, and latency is measured from the SCHEDULED send
-//     time, so queueing delay the client would have hidden by waiting
-//     (coordinated omission) is charged to the server. This measures
+//     of response times. A request sent late because its worker was still
+//     busy is measured from the SCHEDULED send time, so queueing delay the
+//     client would have hidden by waiting (coordinated omission) is
+//     charged to the server. A worker that was idle and slept until its
+//     slot is measured from the actual send; its timer's wake-up lateness
+//     is the generator's and is reported on its own. This measures
 //     behavior at a fixed offered load — the mode the saturation sweep
 //     uses.
 //
@@ -128,12 +131,18 @@ type Result struct {
 
 	Hist                *hist.Histogram
 	P50, P99, P999, Max time.Duration
+
+	// WakeLateP50 and WakeLateP99 are quantiles of the open-loop
+	// generator's own lateness: how far past its slot a worker that slept
+	// until the slot actually sent. It is not charged to the server. Zero
+	// in closed loop.
+	WakeLateP50, WakeLateP99 time.Duration
 }
 
 // workerStats accumulates one worker's measured-phase outcomes; merged
 // after the run so the hot loop never shares a cache line.
 type workerStats struct {
-	hist                                      *hist.Histogram
+	hist, late                                *hist.Histogram
 	requests, ok, shed, c4xx, s5xx, transport int64
 }
 
@@ -168,7 +177,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	for w := 0; w < spec.Concurrency; w++ {
 		wg.Add(1)
 		st := &stats[w]
-		st.hist = hist.New()
+		st.hist, st.late = hist.New(), hist.New()
 		// Distinct, deterministic per-worker streams: the golden-ratio
 		// increment keeps adjacent worker seeds far apart in seed space.
 		rng := rand.New(rand.NewSource(int64(uint64(spec.Seed) + uint64(w)*0x9E3779B97F4A7C15)))
@@ -200,9 +209,11 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		Duration:    observed,
 		Hist:        hist.New(),
 	}
+	late := hist.New()
 	for i := range stats {
 		st := &stats[i]
 		res.Hist.Merge(st.hist)
+		late.Merge(st.late)
 		res.Requests += st.requests
 		res.StatusOK += st.ok
 		res.Shed += st.shed
@@ -224,12 +235,16 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	res.ShedRate = float64(res.Shed) / float64(res.Requests)
 	qs := res.Hist.Quantiles(0.5, 0.99, 0.999)
 	res.P50, res.P99, res.P999, res.Max = qs[0], qs[1], qs[2], res.Hist.Max()
+	if late.Count() > 0 {
+		lq := late.Quantiles(0.5, 0.99)
+		res.WakeLateP50, res.WakeLateP99 = lq[0], lq[1]
+	}
 	return res, nil
 }
 
 // runWorker is one connection's request loop. Closed loop: back-to-back.
-// Open loop: fire at the pacer's schedule and charge latency from the
-// scheduled instant.
+// Open loop: fire at the pacer's schedule and charge latency as
+// chargeOpenLoop says.
 func runWorker(ctx context.Context, spec Spec, client *http.Client, url string,
 	rng *rand.Rand, pc *pacer, st *workerStats, measureFrom, deadline time.Time) {
 	var bodyBuf bytes.Buffer
@@ -238,10 +253,10 @@ func runWorker(ctx context.Context, spec Spec, client *http.Client, url string,
 		if sentAt.After(deadline) || ctx.Err() != nil {
 			return
 		}
-		scheduled := sentAt
+		scheduled, slept := sentAt, false
 		if pc != nil {
 			var ok bool
-			scheduled, ok = pc.waitNext(ctx, deadline)
+			scheduled, slept, ok = pc.waitNext(ctx, deadline)
 			if !ok {
 				return
 			}
@@ -252,15 +267,16 @@ func runWorker(ctx context.Context, spec Spec, client *http.Client, url string,
 
 		status, respBody, err := doRequest(ctx, client, url, reqBody, spec.Recorder != nil)
 		done := time.Now()
-		// Latency from the scheduled instant in open-loop mode charges
-		// client-side queueing (coordinated omission) to the server.
-		lat := done.Sub(scheduled)
+		lat, lateness := chargeOpenLoop(scheduled, sentAt, done, slept)
 
 		if done.Before(measureFrom) || done.After(deadline) {
 			continue // warmup or overrun: hit the server, skip the books
 		}
 		st.requests++
 		st.hist.Observe(lat)
+		if slept {
+			st.late.Observe(lateness)
+		}
 		switch {
 		case err != nil:
 			st.transport++

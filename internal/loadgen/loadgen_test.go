@@ -56,6 +56,9 @@ func TestClosedLoopRun(t *testing.T) {
 	if res.ErrorRate != 0 || res.ShedRate != 0 {
 		t.Fatalf("unexpected error/shed rates: %v / %v", res.ErrorRate, res.ShedRate)
 	}
+	if res.WakeLateP50 != 0 || res.WakeLateP99 != 0 {
+		t.Fatalf("closed loop reported wake-up lateness %v / %v", res.WakeLateP50, res.WakeLateP99)
+	}
 }
 
 func TestOpenLoopOffersScheduledRate(t *testing.T) {
@@ -77,6 +80,11 @@ func TestOpenLoopOffersScheduledRate(t *testing.T) {
 	want := rps * 0.5
 	if got := float64(res.Requests); got < 0.7*want || got > 1.3*want {
 		t.Fatalf("measured %v requests at %v rps over 500ms, want ~%v", got, rps, want)
+	}
+	// Workers this far below capacity sleep until their slots, so the
+	// generator's own wake-up lateness is measured and reported apart.
+	if res.WakeLateP99 <= 0 || res.WakeLateP99 < res.WakeLateP50 {
+		t.Fatalf("wake-up lateness p50 %v p99 %v, want positive and ordered", res.WakeLateP50, res.WakeLateP99)
 	}
 }
 

@@ -15,7 +15,9 @@ import (
 // and the measured latency — taken from the SCHEDULED time by the caller
 // — absorbs the backlog. That is the coordinated-omission correction:
 // a client that politely waits out a stall must still charge the stall
-// to every request the schedule says it should have sent.
+// to every request the schedule says it should have sent. A worker that
+// was idle and slept until its slot owes the server nothing: the timer's
+// wake-up overshoot is the generator's own delay (see chargeOpenLoop).
 type pacer struct {
 	next     time.Time
 	interval time.Duration
@@ -35,22 +37,38 @@ func newPacer(start time.Time, rps float64, worker, workers int) *pacer {
 
 // waitNext blocks until the worker's next scheduled slot (or returns
 // immediately when already overdue) and returns the slot's scheduled
-// time. ok is false when the schedule runs past the deadline or the
+// time. slept reports whether the worker was idle and slept until the
+// slot. ok is false when the schedule runs past the deadline or the
 // context ends first.
-func (p *pacer) waitNext(ctx context.Context, deadline time.Time) (time.Time, bool) {
-	scheduled := p.next
+func (p *pacer) waitNext(ctx context.Context, deadline time.Time) (scheduled time.Time, slept, ok bool) {
+	scheduled = p.next
 	p.next = p.next.Add(p.interval)
 	if scheduled.After(deadline) {
-		return time.Time{}, false
+		return time.Time{}, false, false
 	}
-	if wait := time.Until(scheduled); wait > 0 {
-		timer := time.NewTimer(wait)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			return time.Time{}, false
-		}
+	wait := time.Until(scheduled)
+	if wait <= 0 {
+		return scheduled, false, true
 	}
-	return scheduled, true
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return scheduled, true, true
+	case <-ctx.Done():
+		return time.Time{}, false, false
+	}
+}
+
+// chargeOpenLoop splits one open-loop request's timeline into the latency
+// charged to the server and the generator's own wake-up lateness. A worker
+// that slept until its slot is charged from the actual send, and the
+// timer's overshoot past the slot is lateness. A worker that was overdue
+// at its slot is charged from the slot — the coordinated-omission
+// correction — and has no lateness.
+func chargeOpenLoop(scheduled, sent, done time.Time, slept bool) (charged, lateness time.Duration) {
+	if slept {
+		return done.Sub(sent), sent.Sub(scheduled)
+	}
+	return done.Sub(scheduled), 0
 }

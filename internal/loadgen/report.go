@@ -97,10 +97,12 @@ func WriteSnapshot(w io.Writer, snap Snapshot) error {
 // Summary renders one Result as a human line for CLI output.
 func (r *Result) Summary() string {
 	mode := fmt.Sprintf("closed loop, %d conns", r.Concurrency)
+	late := ""
 	if r.OfferedRPS > 0 {
 		mode = fmt.Sprintf("open loop, %.0f rps offered over %d conns", r.OfferedRPS, r.Concurrency)
+		late = fmt.Sprintf(", generator wake-up lateness p50 %s p99 %s (not charged)", r.WakeLateP50, r.WakeLateP99)
 	}
-	return fmt.Sprintf("%s, mix %s, %s measured: %d requests, %.1f/s ok, p50 %s p99 %s p999 %s max %s, shed %.1f%%, errors %.1f%%",
+	return fmt.Sprintf("%s, mix %s, %s measured: %d requests, %.1f/s ok, p50 %s p99 %s p999 %s max %s, shed %.1f%%, errors %.1f%%%s",
 		mode, r.Mix, r.Duration, r.Requests, r.Throughput, r.P50, r.P99, r.P999, r.Max,
-		100*r.ShedRate, 100*r.ErrorRate)
+		100*r.ShedRate, 100*r.ErrorRate, late)
 }

@@ -99,8 +99,8 @@ func RunSweep(ctx context.Context, spec SweepSpec, progress func(string)) (*Swee
 			if !ok {
 				verdict = "saturated"
 			}
-			progress(fmt.Sprintf("offered %7.0f rps: throughput %8.1f/s  p50 %8s  p99 %8s  p999 %8s  shed %5.1f%%  %s",
-				res.OfferedRPS, res.Throughput, res.P50, res.P99, res.P999, 100*res.ShedRate, verdict))
+			progress(fmt.Sprintf("offered %7.0f rps: throughput %8.1f/s  p50 %8s  p99 %8s  p999 %8s  shed %5.1f%%  wake-up lateness p99 %8s  %s",
+				res.OfferedRPS, res.Throughput, res.P50, res.P99, res.P999, 100*res.ShedRate, res.WakeLateP99, verdict))
 		}
 		if !ok && level+1 >= spec.MinLevels {
 			break // one level past the knee is plotted; further ones only melt

@@ -123,3 +123,37 @@ func TestPacerScheduleIsEvenAndComplete(t *testing.T) {
 		t.Fatal("rps=0 must disable pacing")
 	}
 }
+
+func TestChargeOpenLoop(t *testing.T) {
+	slot := time.Unix(1000, 0)
+	// An idle worker whose timer woke it 700µs past its slot: the server is
+	// charged only from the send; the 700µs is the generator's lateness.
+	sent, done := slot.Add(700*time.Microsecond), slot.Add(900*time.Microsecond)
+	if charged, late := chargeOpenLoop(slot, sent, done, true); charged != 200*time.Microsecond || late != 700*time.Microsecond {
+		t.Fatalf("slept: charged %v lateness %v, want 200µs and 700µs", charged, late)
+	}
+	// A worker still busy 3ms past its slot: the whole wait is charged
+	// (coordinated omission) and none of it is lateness.
+	sent, done = slot.Add(3*time.Millisecond), slot.Add(3200*time.Microsecond)
+	if charged, late := chargeOpenLoop(slot, sent, done, false); charged != 3200*time.Microsecond || late != 0 {
+		t.Fatalf("overdue: charged %v lateness %v, want 3.2ms and 0", charged, late)
+	}
+}
+
+func TestPacerReportsWhetherItSlept(t *testing.T) {
+	ctx := context.Background()
+	deadline := time.Now().Add(time.Hour)
+	overdue := time.Now().Add(-time.Second)
+	p := &pacer{next: overdue, interval: time.Millisecond}
+	if scheduled, slept, ok := p.waitNext(ctx, deadline); !ok || slept || !scheduled.Equal(overdue) {
+		t.Fatalf("overdue slot: scheduled %v slept %v ok %v, want %v, false, true", scheduled, slept, ok, overdue)
+	}
+	p = &pacer{next: time.Now().Add(2 * time.Millisecond), interval: time.Hour}
+	scheduled, slept, ok := p.waitNext(ctx, deadline)
+	if !ok || !slept || time.Now().Before(scheduled) {
+		t.Fatalf("future slot: slept %v ok %v, returned before its slot: %v", slept, ok, time.Now().Before(scheduled))
+	}
+	if _, _, ok := p.waitNext(ctx, deadline); ok {
+		t.Fatal("a slot past the deadline must end the schedule")
+	}
+}

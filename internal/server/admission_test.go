@@ -3,30 +3,81 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// slowAdmissionServer builds a server whose advise path reliably occupies
-// its admission slot for ~window: the cache is disabled (every request
-// scores) and the batch window adds a fixed dwell inside the gate.
-func slowAdmissionServer(t *testing.T, window time.Duration, maxInflight, queueDepth int) *Server {
+// gatedServer builds a server with a tiny admission budget and the cache
+// disabled, so every admitted advise request reaches scoring.
+func gatedServer(t *testing.T, maxInflight, queueDepth int) *Server {
 	t.Helper()
-	srv, err := New(newTestEngine(t, testKB("alpha", "beta")),
+	return newTestServer(t, testKB("alpha", "beta"),
 		WithCacheSize(0),
-		WithBatchWindow(window),
 		WithMaxInflight(maxInflight),
 		WithQueueDepth(queueDepth),
 	)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// heldBody is a request body whose first Read blocks until release is
+// closed. handleAdvise reads its body inside the admission gate, so a
+// request carrying one occupies its inflight slot until the test lets go.
+type heldBody struct {
+	release <-chan struct{}
+	body    *strings.Reader
+}
+
+func (b *heldBody) Read(p []byte) (int, error) {
+	<-b.release
+	return b.body.Read(p)
+}
+
+// hold sends advise request i with a held body and returns a channel that
+// yields its response once the handler has returned.
+func hold(srv *Server, i int, release <-chan struct{}) <-chan *httptest.ResponseRecorder {
+	out := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		body := &heldBody{release: release, body: strings.NewReader(adviseBody(i))}
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest("POST", "/v1/advise", body))
+		out <- w
+	}()
+	return out
+}
+
+// waitUntil spins until cond holds, failing the test if it does not within
+// a deadline far beyond anything a passing run needs.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
 	}
-	t.Cleanup(srv.Close)
-	return srv
+}
+
+// saturate holds every inflight slot of srv and parks queued requests in
+// its admission queue, all released by closing release. It returns the
+// held responses, slot holders first.
+func saturate(t *testing.T, srv *Server, slots, queued int, release <-chan struct{}) []<-chan *httptest.ResponseRecorder {
+	t.Helper()
+	var held []<-chan *httptest.ResponseRecorder
+	for i := 0; i < slots; i++ {
+		held = append(held, hold(srv, i, release))
+	}
+	waitUntil(t, "slots held", func() bool { return srv.Metrics().Inflight == int64(slots) })
+	for i := 0; i < queued; i++ {
+		held = append(held, hold(srv, slots+i, release))
+	}
+	waitUntil(t, "queue filled", func() bool { return srv.Metrics().Queued == int64(queued) })
+	return held
 }
 
 // adviseBody returns a unique, valid advise request per sequence number, so
@@ -62,12 +113,17 @@ func burst(srv *Server, n int) (codes map[int]int, retryAfter []string) {
 }
 
 func TestAdmissionShedsPastBudgetWithRetryAfter(t *testing.T) {
-	// 2 slots + 1 queue position against 10 simultaneous requests: exactly
-	// 3 must eventually succeed and 7 must shed — the semaphore makes the
-	// split exact as long as the burst lands within one service time, which
-	// the 150ms batch dwell guarantees by orders of magnitude.
-	srv := slowAdmissionServer(t, 150*time.Millisecond, 2, 1)
-	codes, retryAfter := burst(srv, 10)
+	// 2 slots + 1 queue position: with both slots held and the queue
+	// position taken, a burst of 7 must shed entirely, and the 3 held
+	// requests must succeed once released.
+	srv := gatedServer(t, 2, 1)
+	release := make(chan struct{})
+	held := saturate(t, srv, 2, 1, release)
+	codes, retryAfter := burst(srv, 7)
+	close(release)
+	for _, h := range held {
+		codes[(<-h).Code]++
+	}
 	if codes[http.StatusOK] != 3 || codes[http.StatusTooManyRequests] != 7 {
 		t.Fatalf("codes = %v, want 3x200 and 7x429", codes)
 	}
@@ -89,57 +145,39 @@ func TestAdmissionShedsPastBudgetWithRetryAfter(t *testing.T) {
 }
 
 func TestQueueingStaysBoundedUnderSaturation(t *testing.T) {
-	srv := slowAdmissionServer(t, 200*time.Millisecond, 1, 2)
-	var peakQueued, peakInflight int64
-	stop := make(chan struct{})
-	var pollWg sync.WaitGroup
-	pollWg.Add(1)
-	go func() {
-		defer pollWg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			m := srv.Metrics()
-			if m.Queued > peakQueued {
-				peakQueued = m.Queued
-			}
-			if m.Inflight > peakInflight {
-				peakInflight = m.Inflight
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-	codes, _ := burst(srv, 12)
-	close(stop)
-	pollWg.Wait()
-	if codes[http.StatusOK] != 3 { // 1 slot + 2 queue positions
-		t.Fatalf("codes = %v, want exactly 3 successes", codes)
+	// 1 slot + 2 queue positions against 11 concurrent requests behind a
+	// held slot: exactly 2 wait, the other 9 shed, and the gauges settle at
+	// the budgets rather than above them.
+	srv := gatedServer(t, 1, 2)
+	release := make(chan struct{})
+	holder := saturate(t, srv, 1, 0, release)[0]
+	results := make(chan int, 11)
+	for i := 1; i <= 11; i++ {
+		go func(i int) { results <- do(srv, "POST", "/v1/advise", adviseBody(i)).Code }(i)
 	}
-	if peakInflight > 1 || peakQueued > 2 {
-		t.Fatalf("budgets exceeded: peak inflight %d (max 1), peak queued %d (max 2)",
-			peakInflight, peakQueued)
+	waitUntil(t, "9 shed", func() bool { return srv.Metrics().Shed == 9 })
+	if m := srv.Metrics(); m.Inflight != 1 || m.Queued != 2 {
+		t.Fatalf("saturated gauges: inflight %d (max 1), queued %d (max 2)", m.Inflight, m.Queued)
+	}
+	close(release)
+	codes := map[int]int{(<-holder).Code: 1}
+	for i := 0; i < 11; i++ {
+		codes[<-results]++
+	}
+	if codes[http.StatusOK] != 3 || codes[http.StatusTooManyRequests] != 9 { // 1 slot + 2 queue positions
+		t.Fatalf("codes = %v, want 3x200 and 9x429", codes)
+	}
+	if m := srv.Metrics(); m.Admitted != 3 {
+		t.Fatalf("admitted = %d, want 3", m.Admitted)
 	}
 }
 
 func TestControlPlaneLiveUnderOverload(t *testing.T) {
 	// While the data plane is saturated and shedding, healthz and metrics
 	// must keep answering: overload must not take out observability.
-	srv := slowAdmissionServer(t, 300*time.Millisecond, 1, 0)
-	holder := make(chan struct{})
-	go func() {
-		defer close(holder)
-		do(srv, "POST", "/v1/advise", adviseBody(1))
-	}()
-	// Wait for the holder to occupy the slot.
-	for i := 0; srv.Metrics().Inflight == 0; i++ {
-		if i > 1000 {
-			t.Fatal("slot never occupied")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	srv := gatedServer(t, 1, 0)
+	release := make(chan struct{})
+	holder := saturate(t, srv, 1, 0, release)[0]
 
 	w := do(srv, "POST", "/v1/advise", adviseBody(2))
 	if w.Code != http.StatusTooManyRequests {
@@ -159,64 +197,48 @@ func TestControlPlaneLiveUnderOverload(t *testing.T) {
 	if m.Inflight != 1 || m.Shed == 0 {
 		t.Fatalf("metrics under overload = inflight %d shed %d", m.Inflight, m.Shed)
 	}
-	<-holder
+	close(release)
+	if w := <-holder; w.Code != http.StatusOK {
+		t.Fatalf("released holder = %d, want 200", w.Code)
+	}
 }
 
 func TestGracefulDrainWithQueuedRequests(t *testing.T) {
 	// Close while requests sit in the admission queue: the queued waiters
-	// must fail fast with server_closed, not hang out the request timeout.
-	srv := slowAdmissionServer(t, 250*time.Millisecond, 1, 4)
-	type outcome struct {
-		code int
-		body string
-	}
-	results := make(chan outcome, 3)
-	for i := 0; i < 3; i++ {
-		go func(i int) {
-			w := do(srv, "POST", "/v1/advise", adviseBody(i))
-			results <- outcome{w.Code, w.Body.String()}
-		}(i)
-	}
-	// Wait until one request holds the slot and two are queued.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		m := srv.Metrics()
-		if m.Inflight == 1 && m.Queued == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("never reached 1 inflight + 2 queued: %+v", m)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	start := time.Now()
+	// must fail fast with server_closed while the slot is still held, not
+	// wait out the queue deadline. The slot holder reaches scoring only
+	// after Close, so its miss gets server_closed too.
+	srv := gatedServer(t, 1, 4)
+	release := make(chan struct{})
+	held := saturate(t, srv, 1, 2, release)
 	srv.Close()
-	var closed int
-	for i := 0; i < 3; i++ {
-		o := <-results
-		switch o.code {
-		case http.StatusServiceUnavailable:
-			closed++
-		case http.StatusOK:
-			// the slot holder may have been scored before the dispatcher saw
-			// Close; that is the graceful part of the drain
-		default:
-			t.Fatalf("unexpected status %d body %s", o.code, o.body)
+	for _, h := range held[1:] {
+		select {
+		case w := <-h:
+			if w.Code != http.StatusServiceUnavailable || errCode(t, w) != "server_closed" {
+				t.Fatalf("queued waiter: status %d body %s, want 503 server_closed", w.Code, w.Body.String())
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("queued waiter did not fail fast after Close")
 		}
 	}
-	if closed < 2 {
-		t.Fatalf("%d requests got server_closed, want the 2 queued ones at least", closed)
-	}
-	if waited := time.Since(start); waited > 2*time.Second {
-		t.Fatalf("drain took %v, queued waiters did not fail fast", waited)
+	close(release)
+	if w := <-held[0]; w.Code != http.StatusServiceUnavailable || errCode(t, w) != "server_closed" {
+		t.Fatalf("slot holder: status %d body %s, want 503 server_closed", w.Code, w.Body.String())
 	}
 }
 
 func TestNoGoroutineLeakAfterOverload(t *testing.T) {
 	before := runtime.NumGoroutine()
-	srv := slowAdmissionServer(t, 100*time.Millisecond, 2, 1)
+	srv := gatedServer(t, 2, 1)
 	for round := 0; round < 3; round++ {
+		release := make(chan struct{})
+		held := saturate(t, srv, 2, 1, release)
 		burst(srv, 8)
+		close(release)
+		for _, h := range held {
+			<-h
+		}
 	}
 	srv.Close()
 	deadline := time.Now().Add(3 * time.Second)
@@ -230,16 +252,19 @@ func TestNoGoroutineLeakAfterOverload(t *testing.T) {
 			t.Fatalf("goroutines: before %d, after %d\n%s",
 				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
-		time.Sleep(10 * time.Millisecond)
+		runtime.Gosched()
 	}
 }
 
 func TestConcurrentReloadDuringShed(t *testing.T) {
 	// Hammer a tiny admission budget while the KB generation churns
 	// underneath: every response must still be a well-formed 200 or 429.
-	// Run under -race (make race) this doubles as the reload/shed data-race
-	// probe.
-	srv := slowAdmissionServer(t, 20*time.Millisecond, 1, 0)
+	// A held request pins the only slot until 429s have been seen, then
+	// the gate runs free until 200s have been seen. Run under -race (make
+	// race) this doubles as the reload/shed data-race probe.
+	srv := gatedServer(t, 1, 0)
+	release := make(chan struct{})
+	holder := saturate(t, srv, 1, 0, release)[0]
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var got200, got429, other atomic.Int64
@@ -277,14 +302,21 @@ func TestConcurrentReloadDuringShed(t *testing.T) {
 			}
 		}
 	}()
-	time.Sleep(400 * time.Millisecond)
+	waitUntil(t, "sheds behind the held slot, across reloads", func() bool {
+		return got429.Load() >= 20 && srv.Metrics().Reloads >= 5
+	})
+	close(release)
+	reloads := srv.Metrics().Reloads
+	waitUntil(t, "admissions once released, across reloads", func() bool {
+		return got200.Load() >= 20 && srv.Metrics().Reloads >= reloads+5
+	})
 	close(stop)
 	wg.Wait()
+	if w := <-holder; w.Code != http.StatusOK {
+		t.Fatalf("released holder = %d, want 200", w.Code)
+	}
 	if other.Load() != 0 {
 		t.Fatalf("unexpected statuses during reload/shed churn: %d", other.Load())
-	}
-	if got200.Load() == 0 || got429.Load() == 0 {
-		t.Fatalf("want both outcomes exercised: 200s=%d 429s=%d", got200.Load(), got429.Load())
 	}
 }
 

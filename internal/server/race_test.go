@@ -116,12 +116,12 @@ func TestConcurrentAdviseDuringReload(t *testing.T) {
 }
 
 // TestGracefulShutdownDrain proves a live request survives shutdown: an
-// advise call held in a long batching window is in flight when the serve
-// context is canceled; Serve must drain it (200) rather than kill it, then
-// stop accepting new connections.
+// advise call whose body the client has not finished sending is in flight
+// when the serve context is canceled. Serve must close the listener, wait
+// for the request and answer it (200) rather than kill it, and only then
+// return.
 func TestGracefulShutdownDrain(t *testing.T) {
-	srv := newTestServer(t, testKB("alpha", "beta"),
-		WithBatchWindow(300*time.Millisecond), WithDrainTimeout(5*time.Second))
+	srv := newTestServer(t, testKB("alpha", "beta"), WithDrainTimeout(5*time.Second))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -129,13 +129,14 @@ func TestGracefulShutdownDrain(t *testing.T) {
 	addr := ln.Addr().String()
 
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ctx, ln) }()
 
+	body, sendBody := io.Pipe()
 	reqDone := make(chan error, 1)
 	go func() {
-		resp, err := http.Post("http://"+addr+"/v1/advise", "application/json",
-			strings.NewReader(`{"severities": [0.3]}`))
+		resp, err := http.Post("http://"+addr+"/v1/advise", "application/json", body)
 		if err != nil {
 			reqDone <- err
 			return
@@ -152,10 +153,28 @@ func TestGracefulShutdownDrain(t *testing.T) {
 		reqDone <- nil
 	}()
 
-	// Let the request enter its batching window, then pull the plug.
-	time.Sleep(75 * time.Millisecond)
+	// The handler counts the advise on entry, then blocks reading a body
+	// the client has not sent yet. Pull the plug and wait until shutdown
+	// has closed the listener, with the request still in flight.
+	waitUntil(t, "advise in flight", func() bool { return srv.Metrics().Advises == 1 })
 	cancel()
+	waitUntil(t, "listener closed", func() bool {
+		conn, err := net.DialTimeout("tcp", addr, 250*time.Millisecond)
+		if err == nil {
+			conn.Close()
+		}
+		return err != nil
+	})
+	select {
+	case err := <-serveDone:
+		t.Fatalf("Serve returned %v with a request still in flight", err)
+	default:
+	}
 
+	if _, err := io.WriteString(sendBody, `{"severities": [0.3]}`); err != nil {
+		t.Fatal(err)
+	}
+	sendBody.Close()
 	if err := <-reqDone; err != nil {
 		t.Fatalf("in-flight request was dropped during shutdown: %v", err)
 	}
@@ -166,8 +185,5 @@ func TestGracefulShutdownDrain(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Serve did not return after drain")
-	}
-	if _, err := net.DialTimeout("tcp", addr, 250*time.Millisecond); err == nil {
-		t.Fatal("listener should be closed after shutdown")
 	}
 }

@@ -148,7 +148,9 @@ func WithBatchMaxSize(n int) Option {
 }
 
 // WithRequestTimeout bounds how long an advise call may wait for its
-// scoring batch (default 10s).
+// scoring batch, and how long a heavy request may wait in the admission
+// queue (WithMaxInflight) before it is shed with 429 overloaded (default
+// 10s).
 func WithRequestTimeout(d time.Duration) Option {
 	return func(c *config) { c.reqTimeout = d }
 }
@@ -288,13 +290,13 @@ func New(engine *core.Engine, opts ...Option) (*Server, error) {
 
 		manifestRequired: cfg.manifestRequired,
 		manifestKey:      cfg.manifestKey,
-		batchWindow:  cfg.batchWindow,
-		batchMax:     cfg.batchMax,
-		jobs:         make(chan *adviseJob, 4*cfg.batchMax),
-		done:         make(chan struct{}),
-		now:          cfg.now,
-		admission:    newAdmission(cfg.maxInflight, cfg.queueDepth, cfg.reqTimeout),
-		latency:      make(map[string]*hist.Histogram),
+		batchWindow:      cfg.batchWindow,
+		batchMax:         cfg.batchMax,
+		jobs:             make(chan *adviseJob, 4*cfg.batchMax),
+		done:             make(chan struct{}),
+		now:              cfg.now,
+		admission:        newAdmission(cfg.maxInflight, cfg.queueDepth, cfg.reqTimeout),
+		latency:          make(map[string]*hist.Histogram),
 	}
 	s.state.Store(&kbState{snap: engine.KB(), gen: 0, loadedAt: s.now(), source: "engine", manifest: cfg.manifest})
 	s.mux = s.routes()

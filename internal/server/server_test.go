@@ -206,11 +206,19 @@ func TestAdviseEmptyKB(t *testing.T) {
 }
 
 func TestAdviseAfterClose(t *testing.T) {
+	// After Close a miss is refused, but a cached answer is still served.
 	srv := newTestServer(t, testKB("alpha"))
+	if w := do(srv, "POST", "/v1/advise", `{"severities": [0.1]}`); w.Code != http.StatusOK {
+		t.Fatalf("warm-up status = %d body = %s", w.Code, w.Body.String())
+	}
 	srv.Close()
 	w := do(srv, "POST", "/v1/advise", `{"severities": [0.2]}`)
 	if w.Code != http.StatusServiceUnavailable || errCode(t, w) != "server_closed" {
-		t.Fatalf("status = %d body = %s", w.Code, w.Body.String())
+		t.Fatalf("miss: status = %d body = %s", w.Code, w.Body.String())
+	}
+	w = do(srv, "POST", "/v1/advise", `{"severities": [0.1]}`)
+	if w.Code != http.StatusOK || w.Header().Get("X-OpenBI-Cache") != "hit" {
+		t.Fatalf("hit: status = %d cache = %q", w.Code, w.Header().Get("X-OpenBI-Cache"))
 	}
 }
 
@@ -428,7 +436,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	do(srv, "POST", "/v1/profile?class=class", profileCSV)
 	do(srv, "POST", "/v1/advise", `{`) // error response
 
-	m := decode[MetricsSnapshot](t, do(srv, "GET", "/v1/metrics", ""))
+	w := do(srv, "GET", "/v1/metrics", "")
+	m := decode[MetricsSnapshot](t, w)
 	if m.Requests < 5 || m.Advises != 3 || m.Profiles != 1 || m.Errors != 1 {
 		t.Fatalf("metrics = %+v", m)
 	}
@@ -440,6 +449,35 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if m.KBRecords != 6 || m.KBAgeSeconds < 0 {
 		t.Fatalf("kb metrics = %+v", m)
+	}
+
+	// The JSON keys are a compatibility contract: additions only. Every
+	// key below must stay.
+	raw := decode[map[string]any](t, w)
+	for _, key := range []string{
+		"requests", "errors", "advises", "profiles", "lodProfiles", "reloads",
+		"cacheHits", "cacheMisses", "cacheEvictions", "cacheEntries", "cacheHitRate",
+		"batches", "batchedJobs", "meanBatchSize", "maxBatchSize",
+		"kbGeneration", "kbRecords", "kbAgeSeconds",
+		"maxInflight", "queueDepth", "inflight", "queued", "admitted", "shed",
+		"endpoints",
+	} {
+		if _, ok := raw[key]; !ok {
+			t.Errorf("/v1/metrics lacks key %q", key)
+		}
+	}
+	endpoints, _ := raw["endpoints"].(map[string]any)
+	for _, name := range []string{"advise", "profile", "lodProfile", "kb", "reload", "metrics", "healthz"} {
+		ep, ok := endpoints[name].(map[string]any)
+		if !ok {
+			t.Errorf("/v1/metrics endpoints lack %q", name)
+			continue
+		}
+		for _, key := range []string{"count", "meanMs", "p50Ms", "p99Ms", "p999Ms", "maxMs"} {
+			if _, ok := ep[key]; !ok {
+				t.Errorf("/v1/metrics endpoints.%s lacks key %q", name, key)
+			}
+		}
 	}
 }
 

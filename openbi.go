@@ -358,7 +358,9 @@ func WithBatchWindow(d time.Duration) ServerOption { return server.WithBatchWind
 // WithBatchMaxSize caps one advise scoring batch.
 func WithBatchMaxSize(n int) ServerOption { return server.WithBatchMaxSize(n) }
 
-// WithRequestTimeout bounds each HTTP request's handling time.
+// WithRequestTimeout bounds how long an advise call may wait for its
+// scoring batch, and how long a request may wait in the admission queue
+// before it is shed with 429 overloaded.
 func WithRequestTimeout(d time.Duration) ServerOption { return server.WithRequestTimeout(d) }
 
 // WithDrainTimeout bounds the graceful-shutdown drain.
