@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"openbi/internal/core"
 	"openbi/internal/dq"
@@ -42,10 +40,7 @@ func cmdIngest(args []string) error {
 	}
 	fmtName := *format
 	if fmtName == "" {
-		switch strings.ToLower(filepath.Ext(*in)) {
-		case ".ttl":
-			fmtName = "ttl"
-		default:
+		if fmtName = rdf.FileFormat(*in); fmtName == "" {
 			fmtName = "nt"
 		}
 	}
@@ -68,12 +63,9 @@ func cmdIngest(args []string) error {
 	}
 
 	if *csvOut != "" {
-		f, err := os.Create(*csvOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := table.WriteCSV(f, ing.Table); err != nil {
+		if err := writeFileAtomic(*csvOut, func(f *os.File) error {
+			return table.WriteCSV(f, ing.Table)
+		}); err != nil {
 			return err
 		}
 		fmt.Printf("projected table written to %s\n", *csvOut)

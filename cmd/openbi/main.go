@@ -215,6 +215,10 @@ func cmdGenerate(args []string) error {
 	}
 }
 
+// cmdProfile prints the data-quality profile of one source and, with
+// -model, writes its annotated CWM model. An RDF source (.nt or .ttl, in
+// any case) also gets its graph-level LOD profile; one core.IngestLOD
+// pass yields both that profile and the projected table.
 func cmdProfile(args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
 	in := fs.String("in", "", "input file (.csv .xml .html .nt .ttl)")
@@ -227,28 +231,25 @@ func cmdProfile(args []string) error {
 
 	// RDF inputs get the graph-level profile first — link problems are
 	// invisible after projection.
-	if strings.HasSuffix(*in, ".nt") || strings.HasSuffix(*in, ".ttl") {
+	var tb *table.Table
+	if format := rdf.FileFormat(*in); format != "" {
 		f, err := os.Open(*in)
 		if err != nil {
 			return err
 		}
-		var g *rdf.Graph
-		if strings.HasSuffix(*in, ".nt") {
-			g, err = rdf.ReadNTriples(f)
-		} else {
-			g, err = rdf.ReadTurtle(f)
-		}
+		ing, err := core.IngestLOD(f, format, rdf.ProjectOptions{LargestClass: true})
 		f.Close()
 		if err != nil {
 			return err
 		}
-		printLODProfile(dq.MeasureLOD(g))
+		printLODProfile(ing.Profile)
 		fmt.Println()
-	}
-
-	tb, err := core.IngestFile(*in)
-	if err != nil {
-		return err
+		tb = ing.Table
+	} else {
+		var err error
+		if tb, err = core.IngestFile(*in); err != nil {
+			return err
+		}
 	}
 	m, err := core.BuildModel(tb, *class)
 	if err != nil {

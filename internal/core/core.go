@@ -27,8 +27,10 @@ import (
 // ---- Ingestion (Figure 1, phase i) ----
 
 // IngestFile reads one open-data file into a table, dispatching on the
-// extension: .csv, .xml, .html/.htm, .nt (N-Triples) and .ttl (Turtle).
-// RDF inputs are projected to the most frequent entity class. Unknown
+// extension, in any case: .csv, .xml, .html/.htm, .nt (N-Triples) and
+// .ttl (Turtle). RDF inputs stream through rdf.StreamProject onto the
+// most frequent entity class, so no indexed graph is built; the table is
+// the one ProjectLargestClass gives for the loaded graph. Unknown
 // extensions return an error matching oberr.ErrUnsupportedFormat.
 func IngestFile(path string) (*table.Table, error) {
 	f, err := os.Open(path)
@@ -36,6 +38,9 @@ func IngestFile(path string) (*table.Table, error) {
 		return nil, fmt.Errorf("core: opening %s: %w", path, err)
 	}
 	defer f.Close()
+	if format := rdf.FileFormat(path); format != "" {
+		return rdf.StreamProject(f, format, rdf.ProjectOptions{LargestClass: true})
+	}
 	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 	switch strings.ToLower(filepath.Ext(path)) {
 	case ".csv":
@@ -44,18 +49,6 @@ func IngestFile(path string) (*table.Table, error) {
 		return table.ReadXML(f, name)
 	case ".html", ".htm":
 		return table.ReadHTMLTable(f, name)
-	case ".nt":
-		g, err := rdf.ReadNTriples(f)
-		if err != nil {
-			return nil, err
-		}
-		return ProjectLargestClass(g)
-	case ".ttl":
-		g, err := rdf.ReadTurtle(f)
-		if err != nil {
-			return nil, err
-		}
-		return ProjectLargestClass(g)
 	default:
 		return nil, fmt.Errorf("core: %w",
 			&oberr.UnsupportedFormatError{Input: path, Format: filepath.Ext(path)})

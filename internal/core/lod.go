@@ -34,10 +34,11 @@ type LODIngest struct {
 // content, so peak memory scales with the graph's distinct triples and
 // projected entities, not with the raw stream: duplicate triples,
 // repeated links and multi-portal re-exports cost nothing, and the
-// working set stays well below the batch path's indexed graph (see
+// working set stays well below an indexed rdf.Graph (see
 // BenchmarkIngestLOD). Zero-value opts project every subject; set
-// opts.LargestClass or opts.Class to restrict (IngestFile's historical
-// behaviour is LargestClass).
+// opts.LargestClass or opts.Class to restrict. `openbi ingest` and
+// `openbi profile` run on it; IngestFile, which needs only the table,
+// streams through rdf.StreamProject with LargestClass.
 func IngestLOD(r io.Reader, format string, opts rdf.ProjectOptions) (*LODIngest, error) {
 	sk := dq.NewLODSketch()
 	proj, err := rdf.NewProjector(opts)

@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"openbi/internal/dq"
@@ -105,5 +110,83 @@ func TestWithLODCorpus(t *testing.T) {
 	_, err = New(WithLODCorpus("junk", bytes.NewReader([]byte("junk\n")), "nt", "fundingLevel"))
 	if !errors.Is(err, oberr.ErrBadSyntax) {
 		t.Fatalf("bad stream: want ErrBadSyntax, got %v", err)
+	}
+}
+
+// TestIngestFileMatchesGraphProjection: IngestFile streams .nt and .ttl
+// files, and must still return what projecting the loaded graph returns —
+// equal under table.Equal, with the same name and every nominal column's
+// level dictionary and codes identical. Upper-case extensions take the
+// same path.
+func TestIngestFileMatchesGraphProjection(t *testing.T) {
+	g, nt := lodNT(t, synth.LODSpec{Entities: 150, Seed: 5, Dirtiness: 0.25})
+	var ttl bytes.Buffer
+	if err := rdf.WriteTurtle(&ttl, g, map[string]string{"ex": synth.NSBase, "def": synth.NSDef}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		doc  []byte
+		read func(io.Reader) (*rdf.Graph, error)
+	}{
+		{"src.nt", nt, rdf.ReadNTriples},
+		{"src.ttl", ttl.Bytes(), rdf.ReadTurtle},
+		{"src-dup3.nt", bytes.Repeat(nt, 3), rdf.ReadNTriples},
+		{"SRC.NT", nt, rdf.ReadNTriples},
+		{"src.Ttl", ttl.Bytes(), rdf.ReadTurtle},
+	} {
+		path := filepath.Join(dir, c.name)
+		if err := os.WriteFile(path, c.doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := IngestFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		loaded, err := c.read(bytes.NewReader(c.doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ProjectLargestClass(loaded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !table.Equal(got, want) || got.Name != want.Name {
+			t.Fatalf("%s: streamed table %q differs from the graph projection %q", c.name, got.Name, want.Name)
+		}
+		for j, wc := range want.Columns() {
+			gc := got.Columns()[j]
+			if !slices.Equal(gc.Levels(), wc.Levels()) || !slices.Equal(gc.Cats, wc.Cats) {
+				t.Fatalf("%s: column %q levels %v codes %v, want %v %v",
+					c.name, wc.Name, gc.Levels(), gc.Cats, wc.Levels(), wc.Cats)
+			}
+		}
+	}
+}
+
+// TestIngestFileBadSyntax: a malformed .nt or .ttl fails with
+// oberr.ErrBadSyntax, naming the same line with the same message as the
+// graph reader of that format.
+func TestIngestFileBadSyntax(t *testing.T) {
+	const ok = "<http://ex.org/a> <http://ex.org/p> \"1\" .\n"
+	for _, c := range []struct {
+		name, doc string
+		line      int
+		read      func(io.Reader) (*rdf.Graph, error)
+	}{
+		{"bad.nt", ok + "\n" + "<http://ex.org/a> <http://ex.org/p> oops .\n" + ok, 3, rdf.ReadNTriples},
+		{"bad.ttl", "@prefix ex: <http://ex.org/> .\n" + ok + "ex:a ex:p ex:b ex:c .\n", 3, rdf.ReadTurtle},     // parser
+		{"lex.ttl", "@prefix ex: <http://ex.org/> .\n" + ok + ok + "ex:a ex:p 'single' .\n", 4, rdf.ReadTurtle}, // tokenizer
+	} {
+		_, err := IngestFile(writeTemp(t, c.name, c.doc))
+		var se *oberr.SyntaxError
+		if !errors.Is(err, oberr.ErrBadSyntax) || !errors.As(err, &se) || se.Line != c.line {
+			t.Fatalf("%s: err = %v, want ErrBadSyntax on line %d", c.name, err, c.line)
+		}
+		_, want := c.read(strings.NewReader(c.doc))
+		if want == nil || err.Error() != want.Error() {
+			t.Fatalf("%s: err = %q, graph reader says %v", c.name, err, want)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -36,6 +37,19 @@ func Stream(r io.Reader, format string, fn TripleFunc) error {
 		return fmt.Errorf("rdf: %w",
 			&oberr.UnsupportedFormatError{Input: "rdf stream", Format: format})
 	}
+}
+
+// FileFormat names the Stream format of an RDF file by its extension,
+// ignoring case: "nt" for .nt, "ttl" for .ttl, and "" for any other
+// file.
+func FileFormat(path string) string {
+	switch strings.ToLower(filepath.Ext(path)) {
+	case ".nt":
+		return "nt"
+	case ".ttl":
+		return "ttl"
+	}
+	return ""
 }
 
 // StreamNTriples parses an N-Triples document line by line, holding only

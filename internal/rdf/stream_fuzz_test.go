@@ -1,8 +1,11 @@
 package rdf
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"openbi/internal/table"
 )
 
 // streamEquivalence is the shared fuzz property: the streaming decoder
@@ -89,5 +92,63 @@ func FuzzStreamTurtle(f *testing.F) {
 		streamEquivalence(t, input,
 			func(s string) (*Graph, error) { return ReadTurtle(strings.NewReader(s)) },
 			func(s string, fn TripleFunc) error { return StreamTurtle(strings.NewReader(s), fn) })
+	})
+}
+
+// FuzzStreamProject is the projection's differential target: on fuzzed
+// N-Triples, StreamProject (the Projector fed by the decoder) and
+// projectReference over ReadNTriples (the graph-walking gather) must
+// reject the same documents with the same error and project the rest to
+// the same table, byte for byte as CSV. opt picks the projection options,
+// so class selection, the subject column, level caps and the numeric
+// threshold are all in play.
+func FuzzStreamProject(f *testing.F) {
+	const ex = "<http://ex.org/"
+	typ := " <" + RDFType + "> "
+	seeds := []struct {
+		doc string
+		opt uint8
+	}{
+		{"", 0},
+		{ex + "a>" + typ + ex + "C> .\n" + ex + "a> " + ex + "p> \"1\" .\n", 1},
+		{ex + "a>" + typ + ex + "C> .\n" + ex + "b>" + typ + ex + "D> .\n" + // a tie: C wins
+			ex + "a> " + ex + "p> \"x\" .\n" + ex + "b> " + ex + "p> \"2\" .\n", 1},
+		{ex + "a> " + ex + "p> \"1\" .\n" + ex + "a> " + ex + "p> \"2\" .\n" + // multi-valued
+			ex + "a> " + ex + "p> \"1\" .\n" + ex + "b> " + ex + "p> " + ex + "a> .\n", 2},
+		{ex + "a>" + typ + "\"literal class\" .\n" + ex + "a> " + ex + "q> \"v\"@en .\n", 1},
+		{ex + "a>" + typ + ex + "C> .\n", 3}, // typed but attribute-free: no columns
+		{"_:b " + ex + "p> \"3.5\"^^<http://www.w3.org/2001/XMLSchema#double> .\n" +
+			"_:c " + ex + "p> \"many\" .\n", 4},
+		{ex + "a> " + ex + "x#n> \"1\" .\n" + ex + "a> " + ex + "y/n> \"2\" .\n", 0}, // clashing local names
+		{ex + "a> " + ex + "p> \"1\" .\nnot a triple\n", 1},
+	}
+	for _, s := range seeds {
+		f.Add(s.doc, s.opt)
+	}
+	variants := []ProjectOptions{
+		{},
+		{LargestClass: true},
+		{LargestClass: true, IncludeSubject: true, MaxLevels: 1},
+		{Class: NewIRI("http://ex.org/C")},
+		{NumericThreshold: 0.5},
+	}
+	f.Fuzz(func(t *testing.T, doc string, opt uint8) {
+		opts := variants[int(opt)%len(variants)]
+		got, serr := StreamProject(strings.NewReader(doc), "nt", opts)
+		var want *table.Table
+		g, rerr := ReadNTriples(strings.NewReader(doc))
+		if rerr == nil {
+			want, rerr = projectReference(g, opts)
+		}
+		if (serr == nil) != (rerr == nil) || (serr != nil && serr.Error() != rerr.Error()) {
+			t.Fatalf("verdicts differ:\nstream:    %v\nreference: %v\ndoc: %q opts: %+v", serr, rerr, doc, opts)
+		}
+		if serr != nil {
+			return
+		}
+		if gotCSV, wantCSV := csvBytes(t, got), csvBytes(t, want); !bytes.Equal(gotCSV, wantCSV) || got.Name != want.Name {
+			t.Fatalf("projections differ:\n--- stream %q\n%s\n--- reference %q\n%s\ndoc: %q opts: %+v",
+				got.Name, gotCSV, want.Name, wantCSV, doc, opts)
+		}
 	})
 }

@@ -255,10 +255,11 @@ func csvBytes(t *testing.T, tb *table.Table) []byte {
 }
 
 // TestStreamProjectMatchesProject is the projection equivalence property:
-// on seeded random graphs, StreamProject over the serialized graph must
-// produce a table byte-identical (as CSV) to Project over the loaded
-// graph — for explicit classes, the largest class and the all-subjects
-// default, with and without the subject column and level caps.
+// on seeded random graphs, StreamProject over the serialized graph and
+// Project over the loaded graph must each produce a table byte-identical
+// (as CSV) to projectReference, the independent graph-walking gather —
+// for explicit classes, the largest class and the all-subjects default,
+// with and without the subject column and level caps.
 func TestStreamProjectMatchesProject(t *testing.T) {
 	optVariants := []ProjectOptions{
 		{},
@@ -274,20 +275,27 @@ func TestStreamProjectMatchesProject(t *testing.T) {
 			t.Fatal(err)
 		}
 		for vi, opts := range optVariants {
-			batchT, berr := Project(g, opts)
+			refT, rerr := projectReference(g, opts)
 			streamT, serr := StreamProject(bytes.NewReader(nt.Bytes()), "nt", opts)
-			if (berr == nil) != (serr == nil) {
-				t.Fatalf("seed %d variant %d: error mismatch: batch %v, stream %v", seed, vi, berr, serr)
-			}
-			if berr != nil {
-				continue
-			}
-			if got, want := csvBytes(t, streamT), csvBytes(t, batchT); !bytes.Equal(got, want) {
-				t.Fatalf("seed %d variant %d: projected CSV differs\n--- stream\n%s\n--- batch\n%s",
-					seed, vi, got, want)
-			}
-			if streamT.Name != batchT.Name {
-				t.Fatalf("seed %d variant %d: table name %q != %q", seed, vi, streamT.Name, batchT.Name)
+			graphT, gerr := Project(g, opts)
+			for _, got := range []struct {
+				path string
+				t    *table.Table
+				err  error
+			}{{"StreamProject", streamT, serr}, {"Project", graphT, gerr}} {
+				if (rerr == nil) != (got.err == nil) {
+					t.Fatalf("seed %d variant %d: error mismatch: reference %v, %s %v", seed, vi, rerr, got.path, got.err)
+				}
+				if rerr != nil {
+					continue
+				}
+				if gotCSV, wantCSV := csvBytes(t, got.t), csvBytes(t, refT); !bytes.Equal(gotCSV, wantCSV) {
+					t.Fatalf("seed %d variant %d: %s CSV differs\n--- %s\n%s\n--- reference\n%s",
+						seed, vi, got.path, got.path, gotCSV, wantCSV)
+				}
+				if got.t.Name != refT.Name {
+					t.Fatalf("seed %d variant %d: %s table name %q != %q", seed, vi, got.path, got.t.Name, refT.Name)
+				}
 			}
 		}
 	}
@@ -305,7 +313,7 @@ func TestStreamProjectDuplicateTriples(t *testing.T) {
 		}
 	}
 	opts := ProjectOptions{LargestClass: true, IncludeSubject: true}
-	batchT, err := Project(g, opts)
+	batchT, err := projectReference(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,5 +356,18 @@ func TestProjectThresholdValidation(t *testing.T) {
 	}
 	if !bytes.Equal(csvBytes(t, defaulted), csvBytes(t, explicit)) {
 		t.Fatal("zero-value NumericThreshold does not behave like the documented 0.9 default")
+	}
+}
+
+// TestFileFormat: the one extension→format mapping IngestFile, `openbi
+// profile` and `openbi ingest` share ignores case.
+func TestFileFormat(t *testing.T) {
+	for path, want := range map[string]string{
+		"a.nt": "nt", "dir.ttl/A.NT": "nt", "b.ttl": "ttl", "B.Ttl": "ttl",
+		"c.csv": "", "-": "", "nt": "", "d.nt.gz": "",
+	} {
+		if got := FileFormat(path); got != want {
+			t.Errorf("FileFormat(%q) = %q, want %q", path, got, want)
+		}
 	}
 }

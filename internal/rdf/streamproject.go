@@ -6,13 +6,12 @@ import (
 	"openbi/internal/table"
 )
 
-// Projector is the streaming counterpart of Project: feed it triples one
-// at a time (its Add is a TripleFunc) and call Table once the stream
-// ends. It gathers exactly the evidence Project derives from a resident
-// graph — per (subject, predicate) the first distinct value and the
-// distinct-value count, in stream order — and finishes through the same
-// assembleProjection routine, so the resulting table is byte-identical
-// to Project over the equivalent graph.
+// Projector is the one entity→table projection: feed it triples one at
+// a time (its Add is a TripleFunc) and call Table once the stream ends.
+// It gathers per (subject, predicate) the first distinct value and the
+// distinct-value count, in stream order. StreamProject feeds it a
+// decoder's triples and Project a resident graph's, so a document and the
+// graph it loads to project to the same table.
 //
 // Memory scales with the number of distinct (subject, predicate, object)
 // combinations — the content of the projected table — not with the
@@ -111,8 +110,8 @@ func (p *Projector) Subjects() int { return len(p.subs) }
 func (p *Projector) Class() (Term, bool) { return p.class, p.hasClass }
 
 // Table assembles the projected table from everything Added so far,
-// applying the class restriction (explicit Class, LargestClass, or all
-// subjects) exactly as Project does.
+// applying the class restriction: the explicit Class, else the
+// LargestClass, else all subjects.
 func (p *Projector) Table() (*table.Table, error) {
 	opts := p.opts
 	hasClass := opts.Class.IsIRI() && opts.Class.Value != ""
@@ -122,9 +121,13 @@ func (p *Projector) Table() (*table.Table, error) {
 			classes = append(classes, c)
 		}
 		sortTerms(classes)
-		if best, ok := largestClass(classes, func(c Term) int { return p.classCnt[c] }); ok {
-			opts.Class, hasClass = best, true
+		bestN := 0 // the first strict maximum in sorted class order wins
+		for _, c := range classes {
+			if n := p.classCnt[c]; n > bestN {
+				opts.Class, bestN = c, n
+			}
 		}
+		hasClass = bestN > 0
 	}
 	p.class, p.hasClass = opts.Class, hasClass
 
