@@ -35,21 +35,33 @@ func sketchFixtures(t *testing.T) map[string]*rdf.Graph {
 	g.Add(rdf.Triple{S: s, P: rdf.NewIRI("http://d/p"), O: rdf.NewInteger(1)})
 	g.Add(rdf.Triple{S: rdf.NewIRI("http://e/classless"), P: rdf.NewIRI("http://d/p"), O: rdf.NewInteger(2)})
 	out["multi-type"] = g
+
+	// An IRI class and a literal class with the same lexical form: the
+	// profile groups classes by Value, so both subjects share one class.
+	g = rdf.NewGraph()
+	g.Add(rdf.Triple{S: rdf.NewIRI("http://e/a"), P: typ, O: rdf.NewIRI("http://d/C")})
+	g.Add(rdf.Triple{S: rdf.NewIRI("http://e/b"), P: typ, O: rdf.NewLiteral("http://d/C")})
+	g.Add(rdf.Triple{S: rdf.NewIRI("http://e/a"), P: rdf.NewIRI("http://d/p"), O: rdf.NewIRI("http://e/b")})
+	g.Add(rdf.Triple{S: rdf.NewBlank("http://e/a"), P: rdf.NewIRI("http://d/q"), O: rdf.NewLiteral("x")})
+	out["lexical-class"] = g
 	return out
 }
 
-// TestSketchMatchesMeasureLOD: one Add pass over a graph's triples must
-// reproduce MeasureLOD exactly (==, not within epsilon — the aggregation
-// is shared and fully deterministic).
+// TestSketchMatchesMeasureLOD: one Add pass over a graph's triples, and
+// MeasureLOD over the graph, must reproduce the reference profile exactly
+// (==, not within epsilon — every aggregation is fully deterministic).
 func TestSketchMatchesMeasureLOD(t *testing.T) {
 	for name, g := range sketchFixtures(t) {
-		want := MeasureLOD(g)
+		want := profileReference(g.Triples())
+		if got := MeasureLOD(g); got != want {
+			t.Errorf("%s: MeasureLOD %+v != reference %+v", name, got, want)
+		}
 		sk := NewLODSketch()
 		for _, tr := range g.Triples() {
 			sk.Add(tr)
 		}
 		if got := sk.Profile(); got != want {
-			t.Errorf("%s: sketch profile %+v != batch %+v", name, got, want)
+			t.Errorf("%s: sketch profile %+v != reference %+v", name, got, want)
 		}
 	}
 }
@@ -58,7 +70,7 @@ func TestSketchMatchesMeasureLOD(t *testing.T) {
 // must profile the distinct set like a Graph would.
 func TestSketchDuplicatesIgnored(t *testing.T) {
 	for name, g := range sketchFixtures(t) {
-		want := MeasureLOD(g)
+		want := profileReference(g.Triples())
 		sk := NewLODSketch()
 		for pass := 0; pass < 3; pass++ {
 			for _, tr := range g.Triples() {
@@ -77,12 +89,11 @@ func TestSketchDuplicatesIgnored(t *testing.T) {
 // TestSketchPartitionMerge is the mergeability property mirroring
 // kb.Merge: cut the raw stream into k contiguous partitions at random
 // points, sketch each independently with its stream offset, merge in a
-// random permutation — the profile must equal the monolithic one exactly,
-// for every k and permutation tried.
+// random permutation — the profile must equal the reference over the
+// whole stream exactly, for every k and permutation tried.
 func TestSketchPartitionMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for name, g := range sketchFixtures(t) {
-		want := MeasureLOD(g)
 		// Raw stream with duplicates sprinkled in, so partitions overlap
 		// on content and dedup-by-position is actually exercised.
 		var raw []rdf.Triple
@@ -92,6 +103,7 @@ func TestSketchPartitionMerge(t *testing.T) {
 				raw = append(raw, tr)
 			}
 		}
+		want := profileReference(raw)
 		for _, k := range []int{1, 2, 3, 7} {
 			for trial := 0; trial < 4; trial++ {
 				// Random contiguous partition bounds.
@@ -116,7 +128,7 @@ func TestSketchPartitionMerge(t *testing.T) {
 					merged.Merge(parts[i])
 				}
 				if got := merged.Profile(); got != want {
-					t.Fatalf("%s: k=%d trial=%d perm=%v: merged profile %+v != monolithic %+v",
+					t.Fatalf("%s: k=%d trial=%d perm=%v: merged profile %+v != reference %+v",
 						name, k, trial, perm, got, want)
 				}
 				if merged.Observed() != uint64(len(raw)) {
@@ -148,11 +160,14 @@ func TestSketchFirstTypeAcrossPartitions(t *testing.T) {
 		{S: s, P: p, O: rdf.NewInteger(1)},
 		{S: s, P: typ, O: rdf.NewIRI("http://d/B")},
 	}
+	want := profileReference(raw)
 	mono := NewLODSketch()
 	for _, tr := range raw {
 		mono.Add(tr)
 	}
-	want := mono.Profile()
+	if got := mono.Profile(); got != want {
+		t.Fatalf("monolithic profile %+v != reference %+v", got, want)
+	}
 
 	first := NewLODSketchAt(0)
 	first.Add(raw[0])
@@ -169,14 +184,13 @@ func TestSketchFirstTypeAcrossPartitions(t *testing.T) {
 	}
 }
 
-// TestSketchEmpty: zero triples must behave like MeasureLOD on an empty
-// graph, and merging empties stays empty.
+// TestSketchEmpty: zero triples must profile like the reference over an
+// empty stream, and merging empties stays empty.
 func TestSketchEmpty(t *testing.T) {
 	sk := NewLODSketch()
 	sk.Merge(NewLODSketch(), NewLODSketchAt(5))
 	got := sk.Profile()
-	want := MeasureLOD(rdf.NewGraph())
-	if got != want {
-		t.Fatalf("empty sketch profile %+v != empty graph %+v", got, want)
+	if want := profileReference(nil); got != want {
+		t.Fatalf("empty sketch profile %+v != reference %+v", got, want)
 	}
 }

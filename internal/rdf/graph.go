@@ -261,16 +261,5 @@ func sortedKeys(m map[Term][]int) []Term {
 }
 
 func sortTerms(ts []Term) {
-	sort.Slice(ts, func(a, b int) bool {
-		if ts[a].Kind != ts[b].Kind {
-			return ts[a].Kind < ts[b].Kind
-		}
-		if ts[a].Value != ts[b].Value {
-			return ts[a].Value < ts[b].Value
-		}
-		if ts[a].Lang != ts[b].Lang {
-			return ts[a].Lang < ts[b].Lang
-		}
-		return ts[a].Datatype < ts[b].Datatype
-	})
+	sort.Slice(ts, func(a, b int) bool { return TermLess(ts[a], ts[b]) })
 }

@@ -81,6 +81,21 @@ func NewDouble(v float64) Term {
 	return NewTypedLiteral(fmt.Sprintf("%g", v), XSDDouble)
 }
 
+// TermLess is the canonical term order — kind, then value, language tag
+// and datatype — that every deterministic listing of terms sorts by.
+func TermLess(a, b Term) bool {
+	if a.Kind != b.Kind {
+		return a.Kind < b.Kind
+	}
+	if a.Value != b.Value {
+		return a.Value < b.Value
+	}
+	if a.Lang != b.Lang {
+		return a.Lang < b.Lang
+	}
+	return a.Datatype < b.Datatype
+}
+
 // IsIRI reports whether the term is an IRI.
 func (t Term) IsIRI() bool { return t.Kind == IRI }
 
