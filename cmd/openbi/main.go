@@ -42,6 +42,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -259,7 +260,7 @@ func cmdProfile(args []string) error {
 
 	if *modelOut != "" {
 		if err := writeFileAtomic(*modelOut, func(f *os.File) error {
-			if strings.HasSuffix(*modelOut, ".json") {
+			if strings.EqualFold(filepath.Ext(*modelOut), ".json") {
 				return cwm.WriteJSON(f, m.Catalog)
 			}
 			return cwm.WriteXMI(f, m.Catalog)
@@ -610,11 +611,10 @@ func cmdRepair(args []string) error {
 	if err != nil {
 		return err
 	}
-	classIdx := -1
-	if *class != "" {
-		classIdx = tb.ColumnIndex(*class)
+	profile, err := core.ProfileTable(tb, *class, nil)
+	if err != nil {
+		return err
 	}
-	profile := dq.Measure(tb, dq.MeasureOptions{ClassColumn: classIdx})
 	plan := clean.Suggest(profile, *class, *threshold)
 	fmt.Print(clean.Describe(plan))
 	if *out == "" || len(plan) == 0 {

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"openbi/internal/oberr"
 )
 
 // captureStdout runs f with os.Stdout redirected to a pipe and returns
@@ -83,22 +86,39 @@ func TestCLIGenerateValidation(t *testing.T) {
 	}
 }
 
+// TestCLIProfileWritesModel: -model writes JSON for a .json extension in
+// any case and XMI otherwise, annotated with the severities either way.
 func TestCLIProfileWritesModel(t *testing.T) {
 	dir := t.TempDir()
 	csv := filepath.Join(dir, "d.csv")
 	captureStdout(t, func() error {
 		return cmdGenerate([]string{"-kind", "classification", "-n", "60", "-out", csv})
 	})
-	model := filepath.Join(dir, "m.json")
-	captureStdout(t, func() error {
-		return cmdProfile([]string{"-in", csv, "-class", "class", "-model", model})
-	})
-	data, err := os.ReadFile(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "dq.severity.completeness") {
-		t.Fatal("model lacks severity annotations")
+	for _, tc := range []struct {
+		name  string
+		first byte
+	}{
+		{"m.json", '{'},
+		{"m.JSON", '{'},
+		{"m.xmi", '<'},
+		{"m", '<'},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			model := filepath.Join(dir, tc.name)
+			captureStdout(t, func() error {
+				return cmdProfile([]string{"-in", csv, "-class", "class", "-model", model})
+			})
+			data, err := os.ReadFile(model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(data) == 0 || data[0] != tc.first {
+				t.Fatalf("%s starts %q, want %q", tc.name, data[:min(len(data), 20)], tc.first)
+			}
+			if !strings.Contains(string(data), "dq.severity.completeness") {
+				t.Fatal("model lacks severity annotations")
+			}
+		})
 	}
 }
 
@@ -113,6 +133,28 @@ func TestCLIRepairDryRun(t *testing.T) {
 	})
 	if !strings.Contains(out, "impute") && !strings.Contains(out, "standardize") {
 		t.Fatalf("repair plan empty for a dirty source:\n%s", out)
+	}
+}
+
+// TestCLIRepairUnknownClass: a -class naming no column fails with
+// oberr.ErrColumnNotFound before any plan is printed, as profile, advise
+// and mine do.
+func TestCLIRepairUnknownClass(t *testing.T) {
+	dir := t.TempDir()
+	nt := filepath.Join(dir, "m.nt")
+	captureStdout(t, func() error {
+		return cmdGenerate([]string{"-kind", "municipal", "-n", "80", "-dirty", "0.4", "-out", nt})
+	})
+	var err error
+	out := captureStdout(t, func() error {
+		err = cmdRepair([]string{"-in", nt, "-class", "nosuchcolumn"})
+		return nil
+	})
+	if !errors.Is(err, oberr.ErrColumnNotFound) {
+		t.Fatalf("err = %v, want oberr.ErrColumnNotFound", err)
+	}
+	if out != "" {
+		t.Fatalf("repair printed output for an unknown class:\n%s", out)
 	}
 }
 

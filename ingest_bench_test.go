@@ -76,7 +76,8 @@ type batchState struct {
 }
 
 // BenchmarkIngestLOD compares the single-pass streaming ingestion
-// (decoder → sketch + projector) against the batch path (load graph →
+// (decoder → sketch + projector over one term dictionary, as
+// core.IngestLOD runs it) against the batch path (load graph →
 // MeasureLOD → ProjectLargestClass) at 1× and 10× triple counts, plus a
 // duplicate-heavy 10× stream over the 1× entity set — the case where the
 // streaming path's working set must not grow at all. Outputs land in
@@ -97,15 +98,18 @@ func BenchmarkIngestLOD(b *testing.B) {
 		data, triples := lodDocument(b, v.entities, v.copies)
 		b.Run("stream-"+v.name, func(b *testing.B) {
 			reportIngestMetrics(b, triples, func() any {
-				st := &streamState{sketch: dq.NewLODSketch()}
-				proj, err := rdf.NewProjector(opts)
+				dict := rdf.NewDict()
+				st := &streamState{sketch: dq.NewLODSketchOn(dict)}
+				proj, err := rdf.NewProjectorOn(dict, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
 				st.proj = proj
 				err = rdf.Stream(bytes.NewReader(data), "nt", func(tr rdf.Triple) error {
-					st.sketch.Add(tr)
-					return st.proj.Add(tr)
+					s, p := dict.ID(tr.S), dict.ID(tr.P)
+					st.sketch.AddIDs(s, p, dict.ID(tr.O))
+					st.proj.AddIDs(s, p, tr.O)
+					return nil
 				})
 				if err != nil {
 					b.Fatal(err)

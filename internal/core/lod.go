@@ -29,27 +29,32 @@ type LODIngest struct {
 // IngestLOD streams an RDF document (format "nt" or "ttl", as in
 // rdf.Stream) exactly once, feeding the data-quality sketch and the table
 // projector from the same decoder pass — no indexed graph is ever
-// resident. The decoder itself runs at constant memory (bounded by the
-// longest statement); the sketch and projector retain only distinct
-// content, so peak memory scales with the graph's distinct triples and
-// projected entities, not with the raw stream: duplicate triples,
-// repeated links and multi-portal re-exports cost nothing, and the
-// working set stays well below an indexed rdf.Graph (see
-// BenchmarkIngestLOD). Zero-value opts project every subject; set
-// opts.LargestClass or opts.Class to restrict. `openbi ingest` and
-// `openbi profile` run on it; IngestFile, which needs only the table,
-// streams through rdf.StreamProject with LargestClass.
+// resident. Both consumers are built over one rdf.Dict: each triple's
+// terms are interned once and the sketch and projector receive the same
+// dense ids, so no term is hashed twice. The decoder itself runs at
+// constant memory (bounded by the longest statement); the dictionary,
+// sketch and projector retain only distinct content, so peak memory
+// scales with the graph's distinct terms, triples and projected entities,
+// not with the raw stream: duplicate triples, repeated links and
+// multi-portal re-exports cost nothing, and the working set stays well
+// below an indexed rdf.Graph (see BenchmarkIngestLOD). Zero-value opts
+// project every subject; set opts.LargestClass or opts.Class to restrict.
+// `openbi ingest` and `openbi profile` run on it; IngestFile, which needs
+// only the table, streams through rdf.StreamProject with LargestClass.
 func IngestLOD(r io.Reader, format string, opts rdf.ProjectOptions) (*LODIngest, error) {
-	sk := dq.NewLODSketch()
-	proj, err := rdf.NewProjector(opts)
+	dict := rdf.NewDict()
+	sk := dq.NewLODSketchOn(dict)
+	proj, err := rdf.NewProjectorOn(dict, opts)
 	if err != nil {
 		return nil, err
 	}
 	n := 0
 	err = rdf.Stream(r, format, func(tr rdf.Triple) error {
 		n++
-		sk.Add(tr)
-		return proj.Add(tr)
+		s, p := dict.ID(tr.S), dict.ID(tr.P)
+		sk.AddIDs(s, p, dict.ID(tr.O))
+		proj.AddIDs(s, p, tr.O)
+		return nil
 	})
 	if err != nil {
 		return nil, err

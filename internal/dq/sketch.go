@@ -1,6 +1,7 @@
 package dq
 
 import (
+	"slices"
 	"sort"
 
 	"openbi/internal/rdf"
@@ -9,11 +10,14 @@ import (
 
 // LODSketch computes an LODProfile incrementally from a triple stream,
 // without a resident graph: no subject/predicate/object indexes, no
-// triple slice — just the distinct-triple set tagged with each triple's
-// first-occurrence position. Feed it triples one at a time (Add is a
-// TripleFunc, so it plugs straight into rdf.Stream) and call Profile at
-// the end; the result is identical to MeasureLOD over the graph the same
-// stream would load (MeasureLOD itself is implemented on the sketch).
+// triple slice — a term dictionary and the distinct-triple set, keyed on
+// each triple's three term ids and tagged with its first-occurrence
+// position. Feed it triples one at a time (Add is a TripleFunc, so it
+// plugs straight into rdf.Stream) and call Profile at the end; the result
+// is identical to MeasureLOD over the graph the same stream would load
+// (MeasureLOD itself is implemented on the sketch). A sketch built with
+// NewLODSketchOn shares its dictionary with other stream consumers, which
+// then intern each term once for all of them and pass ids to AddIDs.
 //
 // Sketches are mergeable, mirroring kb.Merge's discipline for KB shards:
 // profile the partitions of a huge graph independently — each partition
@@ -23,8 +27,9 @@ import (
 // every order-sensitive quantity (a subject's first rdf:type) is resolved
 // by the global first-occurrence position, not by merge order.
 type LODSketch struct {
-	seen map[rdf.Triple]uint64 // distinct triple -> first-occurrence position
-	seq  uint64                // position of the next raw triple
+	dict *rdf.Dict
+	seen map[[3]uint32]uint64 // distinct (s, p, o) ids -> first-occurrence position
+	seq  uint64               // position of the next raw triple
 }
 
 // NewLODSketch returns an empty sketch positioned at the start of the
@@ -37,18 +42,31 @@ func NewLODSketch() *LODSketch { return NewLODSketchAt(0) }
 // positions globally comparable, so merged partition sketches resolve
 // order-sensitive measures exactly as one monolithic pass would.
 func NewLODSketchAt(base uint64) *LODSketch {
-	return &LODSketch{seen: make(map[rdf.Triple]uint64), seq: base}
+	return &LODSketch{dict: rdf.NewDict(), seen: make(map[[3]uint32]uint64), seq: base}
 }
 
-// Add observes one raw triple. Duplicates advance the stream position but
-// are otherwise ignored (RDF graphs are triple sets). It never fails; the
-// error return matches rdf.TripleFunc.
+// NewLODSketchOn returns an empty sketch, positioned at the start of the
+// stream, over the dictionary d, which other stream consumers may share.
+func NewLODSketchOn(d *rdf.Dict) *LODSketch {
+	return &LODSketch{dict: d, seen: make(map[[3]uint32]uint64)}
+}
+
+// Add observes one raw triple: it interns the triple's terms and runs
+// AddIDs. It never fails; the error return matches rdf.TripleFunc.
 func (s *LODSketch) Add(tr rdf.Triple) error {
-	if _, dup := s.seen[tr]; !dup {
-		s.seen[tr] = s.seq
+	s.AddIDs(s.dict.ID(tr.S), s.dict.ID(tr.P), s.dict.ID(tr.O))
+	return nil
+}
+
+// AddIDs observes one raw triple given as ids of the sketch's dictionary.
+// Duplicates advance the stream position but are otherwise ignored (RDF
+// graphs are triple sets).
+func (s *LODSketch) AddIDs(sub, pred, obj uint32) {
+	k := [3]uint32{sub, pred, obj}
+	if _, dup := s.seen[k]; !dup {
+		s.seen[k] = s.seq
 	}
 	s.seq++
-	return nil
 }
 
 // Len returns the number of distinct triples observed.
@@ -62,12 +80,23 @@ func (s *LODSketch) Observed() uint64 { return s.seq }
 // Merge folds other partition sketches into s, in any order: the distinct
 // sets union and each triple keeps its smallest (earliest) position.
 // Overlapping partitions are harmless — a triple seen by several sketches
-// still counts once.
+// still counts once. A partition over another dictionary has its ids
+// remapped through its terms into s's dictionary.
 func (s *LODSketch) Merge(others ...*LODSketch) {
 	for _, o := range others {
-		for tr, pos := range o.seen {
-			if cur, ok := s.seen[tr]; !ok || pos < cur {
-				s.seen[tr] = pos
+		var remap []uint32
+		if o.dict != s.dict {
+			remap = make([]uint32, o.dict.Len())
+			for id := range remap {
+				remap[id] = s.dict.ID(o.dict.Term(uint32(id)))
+			}
+		}
+		for k, pos := range o.seen {
+			if remap != nil {
+				k = [3]uint32{remap[k[0]], remap[k[1]], remap[k[2]]}
+			}
+			if cur, ok := s.seen[k]; !ok || pos < cur {
+				s.seen[k] = pos
 			}
 		}
 		if o.seq > s.seq {
@@ -76,36 +105,49 @@ func (s *LODSketch) Merge(others ...*LODSketch) {
 	}
 }
 
-// Profile computes the LODProfile of everything observed so far. All
-// iteration over internal maps is sorted before any float accumulation,
-// so the result is bit-for-bit reproducible run to run and invariant
-// under partitioning and merge order.
+// noTerm is an id no dictionary hands out in practice (it would take 2^32
+// distinct terms): the id of a vocabulary term the stream never used.
+const noTerm = ^uint32(0)
+
+// Profile computes the LODProfile of everything observed so far. Ids turn
+// back into terms only to order classes and predicates and to read a
+// class's Value and an object's kind; every float accumulation runs in
+// that sorted order, so the result is bit-for-bit reproducible run to run
+// and invariant under partitioning and merge order.
 func (s *LODSketch) Profile() LODProfile {
 	p := LODProfile{Triples: len(s.seen)}
-
-	typePred := rdf.NewIRI(rdf.RDFType)
-	labelPred := rdf.NewIRI(rdf.RDFSLabel)
-	sameAs := rdf.NewIRI(rdf.OWLSameAs)
+	d := s.dict
+	vocab := func(iri string) uint32 {
+		if id, ok := d.Lookup(rdf.NewIRI(iri)); ok {
+			return id
+		}
+		return noTerm
+	}
+	typePred, labelPred, sameAs := vocab(rdf.RDFType), vocab(rdf.RDFSLabel), vocab(rdf.OWLSameAs)
 
 	// Pass 1: subjects, and each subject's first rdf:type (earliest
 	// position; ties — possible only with misused partition offsets —
 	// break on term order so the result stays deterministic).
 	type subjAgg struct {
-		typ     rdf.Term
 		typeSeq uint64
+		typ     uint32 // the first rdf:type object, if hasType
+		class   int32  // index into the sorted classes
 		hasType bool
 		labeled bool
 	}
-	subjs := make(map[rdf.Term]*subjAgg)
-	for tr, pos := range s.seen {
-		sa := subjs[tr.S]
-		if sa == nil {
-			sa = &subjAgg{}
-			subjs[tr.S] = sa
+	subjIdx := make([]int32, d.Len()) // term id -> 1 + index into subjs; 0: not a subject
+	var subjs []subjAgg
+	for k, pos := range s.seen {
+		si := subjIdx[k[0]]
+		if si == 0 {
+			subjs = append(subjs, subjAgg{})
+			si = int32(len(subjs))
+			subjIdx[k[0]] = si
 		}
-		if tr.P == typePred {
-			if !sa.hasType || pos < sa.typeSeq || (pos == sa.typeSeq && termLess(tr.O, sa.typ)) {
-				sa.typ, sa.typeSeq, sa.hasType = tr.O, pos, true
+		if k[1] == typePred {
+			sa := &subjs[si-1]
+			if !sa.hasType || pos < sa.typeSeq || (pos == sa.typeSeq && rdf.TermLess(d.Term(k[2]), d.Term(sa.typ))) {
+				sa.typ, sa.typeSeq, sa.hasType = k[2], pos, true
 			}
 		}
 	}
@@ -114,92 +156,106 @@ func (s *LODSketch) Profile() LODProfile {
 		return p
 	}
 
-	// Class membership; "" is the classless bucket.
-	classCounts := map[string]int{}
-	for _, sa := range subjs {
-		cls := ""
+	// Class membership by the class term's Value; "" is the classless
+	// bucket.
+	classOf := func(sa *subjAgg) string {
 		if sa.hasType {
-			cls = sa.typ.Value
+			return d.Term(sa.typ).Value
 		}
-		classCounts[cls]++
+		return ""
+	}
+	classCounts := map[string]int{}
+	for i := range subjs {
+		classCounts[classOf(&subjs[i])]++
 	}
 	classes := make([]string, 0, len(classCounts))
 	for c := range classCounts {
 		classes = append(classes, c)
 	}
 	sort.Strings(classes)
-	counts := make([]int, 0, len(classes))
-	for _, c := range classes {
-		counts = append(counts, classCounts[c])
+	rank := make(map[string]int32, len(classes))
+	counts := make([]int, len(classes))
+	for i, c := range classes {
+		rank[c], counts[i] = int32(i), classCounts[c]
 	}
 	p.ClassEntropy = stats.NormalizedEntropy(counts)
-
-	// Pass 2: per (class, predicate) coverage, labels, links. rdf:type and
-	// rdfs:label are meta, not attributes.
-	type cp struct {
-		class string
-		pred  rdf.Term
+	for i := range subjs {
+		subjs[i].class = rank[classOf(&subjs[i])]
 	}
-	carriers := map[cp]map[rdf.Term]bool{}
+
+	// Pass 2: labels, links, and the (predicate, subject) pair of every
+	// attribute triple. rdf:type and rdfs:label are meta, not attributes.
+	pairs := make([]uint64, 0, len(s.seen))
 	dangling, iriLinks, sameAsCount, labeled := 0, 0, 0, 0
-	for tr := range s.seen {
-		if tr.P == typePred {
+	for k := range s.seen {
+		if k[1] == typePred {
 			continue
 		}
-		if tr.P == labelPred {
-			if sa := subjs[tr.S]; !sa.labeled {
+		si := subjIdx[k[0]] - 1
+		if k[1] == labelPred {
+			if sa := &subjs[si]; !sa.labeled {
 				sa.labeled = true
 				labeled++
 			}
 			continue
 		}
-		if tr.P == sameAs {
+		if k[1] == sameAs {
 			sameAsCount++
 		}
-		cls := ""
-		if sa := subjs[tr.S]; sa.hasType {
-			cls = sa.typ.Value
-		}
-		key := cp{cls, tr.P}
-		set := carriers[key]
-		if set == nil {
-			set = map[rdf.Term]bool{}
-			carriers[key] = set
-		}
-		set[tr.S] = true
-		if tr.O.IsIRI() {
+		pairs = append(pairs, uint64(k[1])<<32|uint64(si))
+		if d.Term(k[2]).IsIRI() {
 			iriLinks++
-			if _, isSubject := subjs[tr.O]; !isSubject {
+			if subjIdx[k[2]] == 0 {
 				dangling++
 			}
 		}
 	}
 
-	if len(carriers) > 0 {
-		keys := make([]cp, 0, len(carriers))
-		for key := range carriers {
-			keys = append(keys, key)
-		}
-		sort.Slice(keys, func(a, b int) bool {
-			if keys[a].class != keys[b].class {
-				return keys[a].class < keys[b].class
+	// Per (class, predicate): how many distinct subjects of the class
+	// carry the predicate. Sorting the pairs groups them by predicate and
+	// puts a subject's repeats side by side.
+	slices.Sort(pairs)
+	type carrier struct {
+		class int32
+		pred  uint32
+		n     int
+	}
+	var carriers []carrier
+	perClass := make([]int, len(classes))
+	for i := 0; i < len(pairs); {
+		pred := uint32(pairs[i] >> 32)
+		j := i
+		for ; j < len(pairs) && uint32(pairs[j]>>32) == pred; j++ {
+			if j == i || pairs[j] != pairs[j-1] {
+				perClass[subjs[uint32(pairs[j])].class]++
 			}
-			return termLess(keys[a].pred, keys[b].pred)
+		}
+		for c, n := range perClass {
+			if n > 0 {
+				carriers = append(carriers, carrier{class: int32(c), pred: pred, n: n})
+				perClass[c] = 0
+			}
+		}
+		i = j
+	}
+
+	if len(carriers) > 0 {
+		sort.Slice(carriers, func(a, b int) bool {
+			if carriers[a].class != carriers[b].class {
+				return carriers[a].class < carriers[b].class
+			}
+			return rdf.TermLess(d.Term(carriers[a].pred), d.Term(carriers[b].pred))
 		})
 		sum := 0.0
-		predsPerClass := map[string]int{}
-		for _, key := range keys {
-			if total := classCounts[key.class]; total > 0 {
-				sum += float64(len(carriers[key])) / float64(total)
+		classesCarrying := 0
+		for i, c := range carriers {
+			sum += float64(c.n) / float64(counts[c.class])
+			if i == 0 || carriers[i-1].class != c.class {
+				classesCarrying++
 			}
-			predsPerClass[key.class]++
 		}
 		p.PropertyCompleteness = sum / float64(len(carriers))
-		tot := 0
-		for _, n := range predsPerClass {
-			tot += n
-		}
-		p.PredicatesPerClass = float64(tot) / float64(len(predsPerClass))
+		p.PredicatesPerClass = float64(len(carriers)) / float64(classesCarrying)
 	}
 	if iriLinks > 0 {
 		p.DanglingLinkRatio = float64(dangling) / float64(iriLinks)
@@ -207,19 +263,4 @@ func (s *LODSketch) Profile() LODProfile {
 	p.SameAsRatio = float64(sameAsCount) / float64(p.Entities)
 	p.LabelCoverage = float64(labeled) / float64(p.Entities)
 	return p
-}
-
-// termLess is the canonical term order (kind, value, lang, datatype) —
-// the same order rdf's deterministic listings use.
-func termLess(a, b rdf.Term) bool {
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	if a.Value != b.Value {
-		return a.Value < b.Value
-	}
-	if a.Lang != b.Lang {
-		return a.Lang < b.Lang
-	}
-	return a.Datatype < b.Datatype
 }

@@ -53,6 +53,41 @@ func tri(s, p, o string) Triple {
 	return Triple{S: NewIRI(s), P: NewIRI(p), O: NewIRI(o)}
 }
 
+// TestDictDenseIDs: ids are dense in first-seen order, interning is
+// idempotent, Lookup never interns, and terms that differ only in kind,
+// language tag or datatype get ids of their own.
+func TestDictDenseIDs(t *testing.T) {
+	terms := []Term{
+		NewIRI("http://x/a"),
+		NewBlank("http://x/a"),
+		NewLiteral("http://x/a"),
+		NewLangLiteral("http://x/a", "en"),
+		NewTypedLiteral("http://x/a", XSDString),
+	}
+	d := NewDict()
+	if _, ok := d.Lookup(terms[0]); ok || d.Len() != 0 {
+		t.Fatalf("Lookup on an empty dictionary found a term or interned it (Len %d)", d.Len())
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i, term := range terms {
+			if id := d.ID(term); id != uint32(i) {
+				t.Fatalf("pass %d: ID(%v) = %d, want %d", pass, term, id, i)
+			}
+		}
+	}
+	if d.Len() != len(terms) {
+		t.Fatalf("Len = %d, want %d", d.Len(), len(terms))
+	}
+	for i, term := range terms {
+		if got := d.Term(uint32(i)); got != term {
+			t.Fatalf("Term(%d) = %v, want %v", i, got, term)
+		}
+		if id, ok := d.Lookup(term); !ok || id != uint32(i) {
+			t.Fatalf("Lookup(%v) = %d, %v", term, id, ok)
+		}
+	}
+}
+
 func TestGraphAddDeduplicates(t *testing.T) {
 	g := NewGraph()
 	if !g.Add(tri("http://a", "http://p", "http://b")) {

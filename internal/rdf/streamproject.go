@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"io"
+	"sort"
 
 	"openbi/internal/table"
 )
@@ -13,17 +14,23 @@ import (
 // decoder's triples and Project a resident graph's, so a document and the
 // graph it loads to project to the same table.
 //
-// Memory scales with the number of distinct (subject, predicate, object)
-// combinations — the content of the projected table — not with the
+// Subjects, predicates and rdf:type classes are held as ids of a term
+// Dict: subject states live in a slice indexed through the subject's id,
+// and predicates and classes compare as integers. Objects stay Terms,
+// compared only within one subject's predicate entry, so interning them
+// would cost a hash each for nothing. Memory scales with the distinct
+// (subject, predicate, object) combinations — the content of the
+// projected table — plus the dictionary's distinct terms, not with the
 // triple count: duplicate triples, repeated links and the graph's
 // reverse indexes cost nothing. That is what lets the ingestion pipeline
 // project graphs whose serialized form exceeds memory.
 type Projector struct {
 	opts     ProjectOptions
-	subs     map[Term]*subjState
-	order    []Term // subjects in first-seen order (stable iteration)
-	preds    map[Term]struct{}
-	classCnt map[Term]int
+	dict     *Dict
+	typeID   uint32         // the id of rdf:type
+	subIdx   []int32        // term id -> 1 + index into subs; 0: not a subject
+	subs     []subjState    // subjects in first-seen order
+	classCnt map[uint32]int // class id -> subjects typed with it
 
 	// class is the entity class the last Table call resolved (explicit
 	// Class, or the LargestClass winner); hasClass is false when every
@@ -39,7 +46,8 @@ type Projector struct {
 // several times below a resident Graph (maps cost hundreds of bytes per
 // entry; hub subjects degrade to linear scans, never break).
 type subjState struct {
-	types []Term
+	id    uint32
+	types []uint32
 	preds []spEntry
 }
 
@@ -47,58 +55,75 @@ type subjState struct {
 // object (PropertyValues order == first-occurrence order of distinct
 // triples) and the distinct objects seen.
 type spEntry struct {
-	pred Term
+	pred uint32
 	objs []Term // distinct objects in first-seen order; objs[0] is the first value
 }
 
 // NewProjector validates opts (same rules and defaults as Project) and
-// returns an empty streaming projector.
+// returns an empty streaming projector over a dictionary of its own.
 func NewProjector(opts ProjectOptions) (*Projector, error) {
+	return NewProjectorOn(NewDict(), opts)
+}
+
+// NewProjectorOn is NewProjector over the dictionary d, which other
+// stream consumers may share: a caller that interns each triple's subject
+// and predicate once can hand the ids to AddIDs and to those consumers
+// alike.
+func NewProjectorOn(d *Dict, opts ProjectOptions) (*Projector, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
 	return &Projector{
 		opts:     opts,
-		subs:     make(map[Term]*subjState),
-		preds:    make(map[Term]struct{}),
-		classCnt: make(map[Term]int),
+		dict:     d,
+		typeID:   d.ID(NewIRI(RDFType)),
+		classCnt: make(map[uint32]int),
 	}, nil
 }
 
-// Add observes one triple. It never fails; the TripleFunc signature lets
-// it plug straight into Stream.
+// Add observes one triple: it interns the subject and predicate and runs
+// AddIDs. It never fails; the TripleFunc signature lets it plug straight
+// into Stream.
 func (p *Projector) Add(tr Triple) error {
-	st := p.subs[tr.S]
-	if st == nil {
-		st = &subjState{}
-		p.subs[tr.S] = st
-		p.order = append(p.order, tr.S)
+	p.AddIDs(p.dict.ID(tr.S), p.dict.ID(tr.P), tr.O)
+	return nil
+}
+
+// AddIDs observes one triple whose subject s and predicate pred are ids
+// of the projector's dictionary; the object stays a term.
+func (p *Projector) AddIDs(s, pred uint32, o Term) {
+	if int(s) >= len(p.subIdx) {
+		p.subIdx = append(p.subIdx, make([]int32, int(s)+1-len(p.subIdx))...)
 	}
-	if tr.P.Kind == IRI && tr.P.Value == RDFType {
+	if p.subIdx[s] == 0 {
+		p.subs = append(p.subs, subjState{id: s})
+		p.subIdx[s] = int32(len(p.subs))
+	}
+	st := &p.subs[p.subIdx[s]-1]
+	if pred == p.typeID {
+		c := p.dict.ID(o)
 		for _, t := range st.types {
-			if t == tr.O {
-				return nil
+			if t == c {
+				return
 			}
 		}
-		st.types = append(st.types, tr.O)
-		p.classCnt[tr.O]++
-		return nil
+		st.types = append(st.types, c)
+		p.classCnt[c]++
+		return
 	}
-	p.preds[tr.P] = struct{}{}
 	for i := range st.preds {
-		if st.preds[i].pred != tr.P {
+		if st.preds[i].pred != pred {
 			continue
 		}
-		for _, o := range st.preds[i].objs {
-			if o == tr.O {
-				return nil // duplicate triple
+		for _, x := range st.preds[i].objs {
+			if x == o {
+				return // duplicate triple
 			}
 		}
-		st.preds[i].objs = append(st.preds[i].objs, tr.O)
-		return nil
+		st.preds[i].objs = append(st.preds[i].objs, o)
+		return
 	}
-	st.preds = append(st.preds, spEntry{pred: tr.P, objs: []Term{tr.O}})
-	return nil
+	st.preds = append(st.preds, spEntry{pred: pred, objs: []Term{o}})
 }
 
 // Subjects returns the number of distinct subjects seen so far (a cheap
@@ -115,53 +140,74 @@ func (p *Projector) Class() (Term, bool) { return p.class, p.hasClass }
 func (p *Projector) Table() (*table.Table, error) {
 	opts := p.opts
 	hasClass := opts.Class.IsIRI() && opts.Class.Value != ""
-	if !hasClass && opts.LargestClass {
-		classes := make([]Term, 0, len(p.classCnt))
+	var classID uint32
+	known := false // classID is the class's id: an explicit Class may never occur
+	if hasClass {
+		classID, known = p.dict.Lookup(opts.Class)
+	} else if opts.LargestClass {
+		classes := make([]uint32, 0, len(p.classCnt))
 		for c := range p.classCnt {
 			classes = append(classes, c)
 		}
-		sortTerms(classes)
+		p.sortIDs(classes)
 		bestN := 0 // the first strict maximum in sorted class order wins
 		for _, c := range classes {
 			if n := p.classCnt[c]; n > bestN {
-				opts.Class, bestN = c, n
+				classID, bestN = c, n
 			}
 		}
-		hasClass = bestN > 0
+		hasClass, known = bestN > 0, bestN > 0
+		if hasClass {
+			opts.Class = p.dict.Term(classID)
+		}
 	}
 	p.class, p.hasClass = opts.Class, hasClass
 
-	var subjects []Term
-	for _, s := range p.order {
-		if hasClass && !p.subs[s].hasType(opts.Class) {
+	var states []*subjState
+	for i := range p.subs {
+		if hasClass && !(known && p.subs[i].hasType(classID)) {
 			continue
 		}
-		subjects = append(subjects, s)
+		states = append(states, &p.subs[i])
 	}
-	if len(subjects) == 0 {
+	if len(states) == 0 {
 		return nil, errNoSubjects
 	}
-	sortTerms(subjects)
-
-	preds := make([]Term, 0, len(p.preds))
-	for pr := range p.preds {
-		preds = append(preds, pr)
+	sort.Slice(states, func(a, b int) bool {
+		return TermLess(p.dict.Term(states[a].id), p.dict.Term(states[b].id))
+	})
+	subjects := make([]Term, len(states))
+	for i, st := range states {
+		subjects[i] = p.dict.Term(st.id)
 	}
-	sortTerms(preds)
 
-	predIdx := make(map[Term]int, len(preds))
+	// The projected subjects' predicates in term order. Predicates that
+	// only other subjects carry would add no column, so they are skipped.
+	// predIdx first marks the predicates seen, then maps each to its
+	// gather.
+	predIdx := make([]int32, p.dict.Len())
+	var preds []uint32
+	for _, st := range states {
+		for _, sp := range st.preds {
+			if predIdx[sp.pred] == 0 {
+				preds = append(preds, sp.pred)
+				predIdx[sp.pred] = 1
+			}
+		}
+	}
+	p.sortIDs(preds)
 	gathers := make([]predGather, len(preds))
 	for gi, pr := range preds {
-		predIdx[pr] = gi
+		predIdx[pr] = int32(gi)
 		gathers[gi] = predGather{
-			pred:      pr,
+			pred:      p.dict.Term(pr),
 			firstVals: make([]Term, len(subjects)),
 			present:   make([]bool, len(subjects)),
 			counts:    make([]int, len(subjects)),
 		}
 	}
-	for i, s := range subjects {
-		for _, sp := range p.subs[s].preds {
+	for i, st := range states {
+		for _, sp := range st.preds {
 			pg := &gathers[predIdx[sp.pred]]
 			pg.counts[i] = len(sp.objs)
 			if len(sp.objs) > 1 {
@@ -178,7 +224,12 @@ func (p *Projector) Table() (*table.Table, error) {
 	return assembleProjection(subjects, gathers, opts)
 }
 
-func (st *subjState) hasType(class Term) bool {
+// sortIDs sorts term ids into the canonical order of their terms.
+func (p *Projector) sortIDs(ids []uint32) {
+	sort.Slice(ids, func(a, b int) bool { return TermLess(p.dict.Term(ids[a]), p.dict.Term(ids[b])) })
+}
+
+func (st *subjState) hasType(class uint32) bool {
 	for _, t := range st.types {
 		if t == class {
 			return true
