@@ -109,3 +109,32 @@ func TestCLIIngestGolden(t *testing.T) {
 		t.Fatalf("stdin ingest diverged from file ingest: %s", got)
 	}
 }
+
+// TestCLIIngestEscapesSameInBothFormats: one document that is valid
+// N-Triples, and so valid Turtle, projects to the same CSV whichever
+// extension it is saved under; the \u escape in its literal decodes to é
+// in both.
+func TestCLIIngestEscapesSameInBothFormats(t *testing.T) {
+	dir := t.TempDir()
+	doc := "<http://ex.org/a> <" + rdf.RDFType + "> <http://ex.org/C> .\n" +
+		`<http://ex.org/a> <http://ex.org/p> "café" .` + "\n"
+	var csvs []string
+	for _, name := range []string{"esc.nt", "esc.ttl"} {
+		in, out := filepath.Join(dir, name), filepath.Join(dir, name+".csv")
+		if err := os.WriteFile(in, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		captureStdout(t, func() error { return cmdIngest([]string{"-in", in, "-csv", out}) })
+		raw, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		csvs = append(csvs, string(raw))
+	}
+	if csvs[0] != csvs[1] {
+		t.Fatalf("projections differ:\n--- esc.nt\n%s--- esc.ttl\n%s", csvs[0], csvs[1])
+	}
+	if !strings.Contains(csvs[0], "café") {
+		t.Fatalf("escape not decoded:\n%s", csvs[0])
+	}
+}

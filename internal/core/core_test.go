@@ -171,16 +171,6 @@ func TestEngineOptionValidation(t *testing.T) {
 	}
 }
 
-func TestDeprecatedNewEngineShim(t *testing.T) {
-	e := NewEngine(42)
-	if e.Seed() != 42 || e.Folds() != 5 || e.Workers() != 0 {
-		t.Fatalf("shim defaults: seed=%d folds=%d workers=%d", e.Seed(), e.Folds(), e.Workers())
-	}
-	if e.KB().Len() != 0 {
-		t.Fatal("fresh engine should publish an empty snapshot")
-	}
-}
-
 // populateKB runs a tiny Phase-1 and loads the records into the engine via
 // the persistence path (the only write entry points are RunExperiments and
 // LoadKB by design).

@@ -235,18 +235,6 @@ func New(opts ...Option) (*Engine, error) {
 	return e, nil
 }
 
-// NewEngine returns an Engine with an empty DQ4DM knowledge base.
-//
-// Deprecated: use New(WithSeed(seed)); configure folds and workers with
-// WithFolds / WithWorkers instead of the removed struct fields.
-func NewEngine(seed int64) *Engine {
-	e, err := New(WithSeed(seed))
-	if err != nil {
-		panic(err) // unreachable: defaults validate
-	}
-	return e
-}
-
 // Seed returns the engine's base seed.
 func (e *Engine) Seed() int64 { return e.seed }
 

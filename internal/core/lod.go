@@ -28,8 +28,7 @@ type LODIngest struct {
 
 // IngestLOD streams an RDF document (format "nt" or "ttl", as in
 // rdf.Stream) exactly once, feeding the data-quality sketch and the table
-// projector from the same decoder pass — no indexed graph is ever
-// resident. Both consumers are built over one rdf.Dict: each triple's
+// projector from the same decoder pass — the graph is never resident. Both consumers are built over one rdf.Dict: each triple's
 // terms are interned once and the sketch and projector receive the same
 // dense ids, so no term is hashed twice. The decoder itself runs at
 // constant memory (bounded by the longest statement); the dictionary,
@@ -37,7 +36,7 @@ type LODIngest struct {
 // scales with the graph's distinct terms, triples and projected entities,
 // not with the raw stream: duplicate triples, repeated links and
 // multi-portal re-exports cost nothing, and the working set stays well
-// below an indexed rdf.Graph (see BenchmarkIngestLOD). Zero-value opts
+// below a resident rdf.Graph (see BenchmarkIngestLOD). Zero-value opts
 // project every subject; set opts.LargestClass or opts.Class to restrict.
 // `openbi ingest` and `openbi profile` run on it; IngestFile, which needs
 // only the table, streams through rdf.StreamProject with LargestClass.

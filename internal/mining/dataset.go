@@ -3,8 +3,8 @@
 // Classifier interface, and the classifier families the paper's framework
 // arbitrates between — rules (ZeroR, OneR), Bayes (Naive Bayes), lazy
 // (kNN), trees (C4.5-style and CART-style, plus a random forest) and
-// functions (logistic regression) — along with k-means clustering and
-// Apriori association-rule mining for the unsupervised OpenBI paths.
+// functions (logistic regression) — along with Apriori association-rule
+// mining for the unsupervised OpenBI paths.
 //
 // Everything is deterministic given its configured seed.
 package mining

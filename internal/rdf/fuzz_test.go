@@ -50,10 +50,11 @@ func FuzzParseNTriples(f *testing.F) {
 	})
 }
 
-// FuzzParseTurtle stresses the Turtle tokenizer + parser; anything it
-// accepts must survive re-serialization through the N-Triples writer (the
-// two parsers share the term model, so a graph valid in one must round-trip
-// through the other).
+// FuzzParseTurtle stresses the Turtle tokenizer + parser: anything it
+// accepts must come back as the same triple set through both writers —
+// parse → WriteTurtle → parse and parse → WriteNTriples → ReadNTriples
+// (the two parsers share the term model, so a graph valid in one must
+// round-trip through the other).
 func FuzzParseTurtle(f *testing.F) {
 	seeds := []string{
 		"",
@@ -69,6 +70,7 @@ func FuzzParseTurtle(f *testing.F) {
 		"@prefix : <http://ex.org/> .\n:a :b :c .",
 		"<http://a> <http://b> 'bad quote' .",
 		"@prefix ex <http://missing-colon> .",
+		"<http://a> <http://b> \"\\u00e9\\b\\f\\'\" .",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -78,18 +80,28 @@ func FuzzParseTurtle(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var buf bytes.Buffer
-		if err := WriteNTriples(&buf, g); err != nil {
+		var ttl bytes.Buffer
+		if err := WriteTurtle(&ttl, g, map[string]string{"ex": "http://ex.org/"}); err != nil {
 			t.Fatalf("serializing parsed graph: %v", err)
 		}
-		g2, err := ReadNTriples(bytes.NewReader(buf.Bytes()))
+		back, err := ReadTurtle(bytes.NewReader(ttl.Bytes()))
+		if err != nil {
+			t.Fatalf("turtle graph does not round-trip as turtle: %v\ninput: %q\nwrote: %q", err, input, ttl.String())
+		}
+		if !sameGraph(g, back) {
+			t.Fatalf("turtle round trip changed the triples\ninput: %q\nwrote: %q", input, ttl.String())
+		}
+		var nt bytes.Buffer
+		if err := WriteNTriples(&nt, g); err != nil {
+			t.Fatalf("serializing parsed graph: %v", err)
+		}
+		back, err = ReadNTriples(bytes.NewReader(nt.Bytes()))
 		if err != nil {
 			t.Fatalf("turtle graph does not round-trip as n-triples: %v\ninput: %q\nwrote: %q",
-				err, input, buf.String())
+				err, input, nt.String())
 		}
-		if g2.Len() != g.Len() {
-			t.Fatalf("round-trip changed triple count %d -> %d\ninput: %q\nwrote: %q",
-				g.Len(), g2.Len(), input, buf.String())
+		if !sameGraph(g, back) {
+			t.Fatalf("n-triples round trip changed the triples\ninput: %q\nwrote: %q", input, nt.String())
 		}
 	})
 }

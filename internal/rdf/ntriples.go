@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -9,20 +10,10 @@ import (
 )
 
 // ReadNTriples parses an N-Triples document into a new graph. Comment
-// lines (#...) and blank lines are skipped. The parser is line-oriented
-// and reports the offending line number on error (matching
-// oberr.ErrBadSyntax, like the streaming decoder it is built on).
-func ReadNTriples(r io.Reader) (*Graph, error) {
-	g := NewGraph()
-	err := StreamNTriples(r, func(tr Triple) error {
-		g.Add(tr)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
-}
+// lines (#...) and blank lines are skipped. It is StreamNTriples collected
+// into a Graph, so errors name the offending line and match
+// oberr.ErrBadSyntax.
+func ReadNTriples(r io.Reader) (*Graph, error) { return readGraph(r, StreamNTriples) }
 
 // WriteNTriples serializes the graph as N-Triples in insertion order.
 func WriteNTriples(w io.Writer, g *Graph) error {
@@ -162,41 +153,12 @@ func (p *termParser) parseLiteral() (Term, error) {
 			b.WriteByte(c)
 			continue
 		}
-		if p.eof() {
-			return Term{}, fmt.Errorf("dangling escape")
+		r, n, err := readEscape(p.s[p.pos-1:])
+		if err != nil {
+			return Term{}, err
 		}
-		e := p.advance()
-		switch e {
-		case 't':
-			b.WriteByte('\t')
-		case 'n':
-			b.WriteByte('\n')
-		case 'r':
-			b.WriteByte('\r')
-		case '"':
-			b.WriteByte('"')
-		case '\\':
-			b.WriteByte('\\')
-		case 'u', 'U':
-			n := 4
-			if e == 'U' {
-				n = 8
-			}
-			if p.pos+n > len(p.s) {
-				return Term{}, fmt.Errorf("truncated \\%c escape", e)
-			}
-			var cp rune
-			for i := 0; i < n; i++ {
-				d := hexVal(p.advance())
-				if d < 0 {
-					return Term{}, fmt.Errorf("invalid hex in \\%c escape", e)
-				}
-				cp = cp<<4 | rune(d)
-			}
-			b.WriteRune(cp)
-		default:
-			return Term{}, fmt.Errorf("unknown escape \\%c", e)
-		}
+		b.WriteRune(r)
+		p.pos += n - 1
 	}
 	t := Term{Kind: Literal, Value: b.String()}
 	if p.consume('@') {
@@ -221,13 +183,58 @@ func (p *termParser) parseLiteral() (Term, error) {
 	return t, nil
 }
 
+// readEscape decodes the escape at s[0] == '\\' in a string literal, for
+// both the N-Triples and the Turtle reader: an ECHAR (\t \b \n \r \f \"
+// \' \\) or a UCHAR (\uXXXX, \UXXXXXXXX), the escapes the W3C grammars
+// allow in literals. It returns the decoded rune and the escape's length.
+// On error, n is how far decoding read, len(s) if s ran out first.
+func readEscape(s string) (r rune, n int, err error) {
+	if len(s) < 2 {
+		return 0, len(s), errors.New("dangling escape")
+	}
+	switch e := s[1]; e {
+	case 't':
+		return '\t', 2, nil
+	case 'b':
+		return '\b', 2, nil
+	case 'n':
+		return '\n', 2, nil
+	case 'r':
+		return '\r', 2, nil
+	case 'f':
+		return '\f', 2, nil
+	case '"', '\'', '\\':
+		return rune(e), 2, nil
+	case 'u', 'U':
+		n = 6
+		if e == 'U' {
+			n = 10
+		}
+		if len(s) < n {
+			return 0, len(s), fmt.Errorf("truncated \\%c escape", e)
+		}
+		for k := 2; k < n; k++ {
+			d := hexVal(s[k])
+			if d < 0 {
+				return 0, k + 1, fmt.Errorf("invalid hex in \\%c escape", e)
+			}
+			r = r<<4 | rune(d)
+		}
+		return r, n, nil
+	default:
+		return 0, 2, fmt.Errorf("unknown escape \\%c", e)
+	}
+}
+
 func isBlankLabelByte(b byte) bool {
 	return isAlnumByte(b) || b == '_' || b == '-' || b == '.'
 }
 
 func isAlnumByte(b byte) bool {
-	return b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z' || b >= '0' && b <= '9'
+	return b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z' || isDigit(b)
 }
+
+func isDigit(b byte) bool { return b >= '0' && b <= '9' }
 
 func hexVal(b byte) int {
 	switch {

@@ -2,9 +2,13 @@ package rdf
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"openbi/internal/oberr"
 )
 
 func TestTermString(t *testing.T) {
@@ -113,69 +117,10 @@ func buildTestGraph() *Graph {
 	return g
 }
 
-func TestGraphMatchPatterns(t *testing.T) {
-	g := buildTestGraph()
-	s := NewIRI("http://m/1")
-	if got := len(g.Match(&s, nil, nil)); got != 3 {
-		t.Fatalf("subject match = %d, want 3", got)
-	}
-	p := NewIRI("http://d/pop")
-	if got := len(g.Match(nil, &p, nil)); got != 2 {
-		t.Fatalf("predicate match = %d, want 2", got)
-	}
-	o := NewIRI("http://r/1")
-	if got := len(g.Match(nil, nil, &o)); got != 2 {
-		t.Fatalf("object match = %d, want 2 (inRegion links)", got)
-	}
-	if got := len(g.Match(&s, &p, nil)); got != 1 {
-		t.Fatalf("s+p match = %d, want 1", got)
-	}
-	if got := len(g.Match(nil, nil, nil)); got != g.Len() {
-		t.Fatalf("full scan = %d, want %d", got, g.Len())
-	}
-}
-
-func TestSubjectsOfType(t *testing.T) {
-	g := buildTestGraph()
-	muns := g.SubjectsOfType(NewIRI("http://d/Mun"))
-	if len(muns) != 2 {
-		t.Fatalf("municipalities = %d", len(muns))
-	}
-	// Deterministic sorted order.
-	if muns[0].Value != "http://m/1" || muns[1].Value != "http://m/2" {
-		t.Fatalf("order = %v", muns)
-	}
-}
-
-func TestClasses(t *testing.T) {
-	g := buildTestGraph()
-	cls := g.Classes()
-	if len(cls) != 2 {
-		t.Fatalf("classes = %v", cls)
-	}
-}
-
-func TestPropertyValuesAndFirst(t *testing.T) {
-	g := buildTestGraph()
-	vals := g.PropertyValues(NewIRI("http://m/1"), NewIRI("http://d/pop"))
-	if len(vals) != 1 || vals[0].Value != "1000" {
-		t.Fatalf("PropertyValues = %v", vals)
-	}
-	if _, ok := g.FirstValue(NewIRI("http://m/1"), NewIRI("http://d/none")); ok {
-		t.Fatal("FirstValue on absent predicate should report false")
-	}
-}
-
 func TestDegreesAndStats(t *testing.T) {
 	g := buildTestGraph()
-	if g.OutDegree(NewIRI("http://m/1")) != 3 {
-		t.Fatalf("out degree = %d", g.OutDegree(NewIRI("http://m/1")))
-	}
-	if g.InDegree(NewIRI("http://r/1")) != 2 {
-		t.Fatalf("in degree = %d", g.InDegree(NewIRI("http://r/1")))
-	}
 	st := g.Stats()
-	if st.Triples != 7 || st.Subjects != 3 {
+	if st.Triples != 7 || st.Subjects != 3 || st.Predicates != 3 || st.Objects != 5 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.LiteralTriples != 2 {
@@ -183,6 +128,11 @@ func TestDegreesAndStats(t *testing.T) {
 	}
 	if st.IRIObjectLinks != 5 {
 		t.Fatalf("IRI object links = %d", st.IRIObjectLinks)
+	}
+	// m/1 and m/2 carry three triples each; five IRI-object links point at
+	// three distinct IRIs (Mun twice, Region once, r/1 twice).
+	if st.MaxOutDegree != 3 || st.AvgOutDegree != 7.0/3 || st.AvgInDegree != 5.0/3 {
+		t.Fatalf("degrees = max out %d, avg out %v, avg in %v", st.MaxOutDegree, st.AvgOutDegree, st.AvgInDegree)
 	}
 }
 
@@ -198,13 +148,8 @@ func TestNTriplesRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != g.Len() {
-		t.Fatalf("roundtrip Len = %d, want %d", back.Len(), g.Len())
-	}
-	for _, tr := range g.Triples() {
-		if !back.Has(tr) {
-			t.Fatalf("roundtrip lost %v", tr)
-		}
+	if !sameGraph(back, g) {
+		t.Fatalf("roundtrip gave %d triples %v, want %v", back.Len(), back.Triples(), g.Triples())
 	}
 }
 
@@ -228,6 +173,35 @@ func TestReadNTriplesUnicodeEscape(t *testing.T) {
 	tr := g.Triples()[0]
 	if tr.O.Value != "café" {
 		t.Fatalf("unicode escape = %q", tr.O.Value)
+	}
+}
+
+// TestLiteralEscapesAgree: every escape the W3C grammars allow in a
+// literal decodes to the same term whether the line is read as N-Triples
+// or, byte for byte, as Turtle; any other escape is rejected by both.
+func TestLiteralEscapesAgree(t *testing.T) {
+	for _, c := range []struct{ esc, want string }{
+		{`\t`, "\t"}, {`\b`, "\b"}, {`\n`, "\n"}, {`\r`, "\r"}, {`\f`, "\f"},
+		{`\"`, `"`}, {`\'`, "'"}, {`\\`, `\`},
+		{`\u00e9`, "é"}, {`\U0001F600`, "😀"},
+	} {
+		line := `<http://a> <http://p> "caf` + c.esc + `" .` + "\n"
+		want := Triple{S: NewIRI("http://a"), P: NewIRI("http://p"), O: NewLiteral("caf" + c.want)}
+		for _, read := range []func(io.Reader) (*Graph, error){ReadNTriples, ReadTurtle} {
+			g, err := read(strings.NewReader(line))
+			if err != nil {
+				t.Fatalf("%s: %v", c.esc, err)
+			}
+			if got := g.Triples(); len(got) != 1 || got[0] != want {
+				t.Fatalf("%s: got %v, want %v", c.esc, got, want)
+			}
+		}
+	}
+	bad := `<http://a> <http://p> "caf\x" .` + "\n"
+	for _, read := range []func(io.Reader) (*Graph, error){ReadNTriples, ReadTurtle} {
+		if _, err := read(strings.NewReader(bad)); !errors.Is(err, oberr.ErrBadSyntax) {
+			t.Fatalf("\\x escape: err = %v, want ErrBadSyntax", err)
+		}
 	}
 }
 
@@ -266,26 +240,44 @@ ex:m1 a ex:Municipality ;
 		t.Fatalf("Len = %d, want 8", g.Len())
 	}
 	subj := NewIRI("http://example.org/m1")
-	typ := NewIRI(RDFType)
-	if v, ok := g.FirstValue(subj, typ); !ok || v.Value != "http://example.org/Municipality" {
+	first := func(pred string) Term {
+		t.Helper()
+		vals := objectsOf(g, subj, NewIRI(pred))
+		if len(vals) == 0 {
+			t.Fatalf("no value for %s", pred)
+		}
+		return vals[0]
+	}
+	if v := first(RDFType); v.Value != "http://example.org/Municipality" {
 		t.Fatal("'a' keyword not expanded")
 	}
-	if v, ok := g.FirstValue(subj, NewIRI("http://example.org/pop")); !ok || v.Datatype != XSDInteger || v.Value != "1000" {
+	if v := first("http://example.org/pop"); v.Datatype != XSDInteger || v.Value != "1000" {
 		t.Fatalf("integer literal = %+v", v)
 	}
-	if v, ok := g.FirstValue(subj, NewIRI("http://example.org/rate")); !ok || v.Datatype != XSDDecimal {
+	if v := first("http://example.org/rate"); v.Datatype != XSDDecimal {
 		t.Fatalf("decimal literal = %+v", v)
 	}
-	if v, ok := g.FirstValue(subj, NewIRI("http://example.org/active")); !ok || v.Datatype != XSDBoolean {
+	if v := first("http://example.org/active"); v.Datatype != XSDBoolean {
 		t.Fatalf("boolean literal = %+v", v)
 	}
-	if v, ok := g.FirstValue(subj, NewIRI("http://example.org/label")); !ok || v.Lang != "es" {
+	if v := first("http://example.org/label"); v.Lang != "es" {
 		t.Fatalf("lang literal = %+v", v)
 	}
-	linked := g.PropertyValues(subj, NewIRI("http://example.org/linked"))
+	linked := objectsOf(g, subj, NewIRI("http://example.org/linked"))
 	if len(linked) != 2 {
 		t.Fatalf("object list = %v", linked)
 	}
+}
+
+// objectsOf returns the objects of (s, p, ?) in insertion order.
+func objectsOf(g *Graph, s, p Term) []Term {
+	var out []Term
+	for _, tr := range g.Triples() {
+		if tr.S == s && tr.P == p {
+			out = append(out, tr.O)
+		}
+	}
+	return out
 }
 
 func TestReadTurtleBase(t *testing.T) {
@@ -344,13 +336,8 @@ func TestWriteTurtleRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reparse: %v\n%s", err, out)
 	}
-	if back.Len() != g.Len() {
-		t.Fatalf("roundtrip Len = %d, want %d", back.Len(), g.Len())
-	}
-	for _, tr := range g.Triples() {
-		if !back.Has(tr) {
-			t.Fatalf("roundtrip lost %v", tr)
-		}
+	if !sameGraph(back, g) {
+		t.Fatalf("roundtrip gave %d triples %v, want %v", back.Len(), back.Triples(), g.Triples())
 	}
 }
 

@@ -2,12 +2,10 @@ package rdf
 
 import (
 	"bufio"
-	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
-	"strconv"
+	"slices"
 	"strings"
 
 	"openbi/internal/oberr"
@@ -81,16 +79,14 @@ func StreamNTriples(r io.Reader, fn TripleFunc) error {
 	return nil
 }
 
-// StreamTurtle parses the same Turtle subset as ReadTurtle in one pass,
-// holding only the current statement in memory. The byte stream is sliced
-// into chunks ending exactly at top-level statement terminators by a
-// small state machine (stmtChunker) that mirrors the tokenizer's string /
-// IRI / comment / blank-label lexing; each chunk is then tokenized and
-// parsed by the very same tokenizer and statement parser the batch reader
-// uses, with prefix and base declarations persisting across chunks. It
-// therefore accepts exactly the documents ReadTurtle accepts and yields
-// the same triples; on a rejected document, triples from statements
-// before the offending one may already have been delivered to fn.
+// StreamTurtle parses the Turtle subset ReadTurtle documents in one pass
+// and calls fn per triple. It reads the stream one window at a time: the
+// tokenizer stops before a token that the bytes after the window could
+// still extend, and the parser runs on the tokens up to the last '.' that
+// ends a statement. The tokens after it, and the prefix and base
+// declarations, carry over to the next window. On a rejected document,
+// triples from statements before the offending one may already have been
+// delivered to fn.
 func StreamTurtle(r io.Reader, fn TripleFunc) error {
 	p := &turtleParser{prefixes: map[string]string{}, emit: func(tr Triple) error {
 		if err := fn(tr); err != nil {
@@ -98,34 +94,56 @@ func StreamTurtle(r io.Reader, fn TripleFunc) error {
 		}
 		return nil
 	}}
-	ch := &stmtChunker{r: r}
-	var toks []ttToken
-	line := 1
-	for {
-		chunk, err := ch.next()
-		if len(chunk) > 0 {
-			var terr error
-			toks, terr = tokenizeTurtleInto(toks[:0], string(chunk), line)
-			if terr != nil {
-				return turtleSyntaxErr(terr)
-			}
-			line += bytes.Count(chunk, []byte{'\n'})
-			p.toks, p.pos = toks, 0
-			if perr := p.run(); perr != nil {
-				var ce *consumerError
-				if errors.As(perr, &ce) {
-					return ce.err
-				}
-				return turtleSyntaxErr(perr)
-			}
-		}
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
+	var (
+		buf  []byte    // bytes read but not yet tokenized
+		toks []ttToken // tokens of the statement in flight
+		line = 1
+	)
+	for eof := false; !eof; {
+		// Read up to a window, but at least as much as is pending: a token
+		// longer than what one Read returns is then rescanned O(log n)
+		// times, not once per Read.
+		want := max(1, len(buf))
+		buf = slices.Grow(buf, max(turtleWindow, want))
+		n, err := io.ReadAtLeast(r, buf[len(buf):cap(buf)], want)
+		buf = buf[:len(buf)+n]
+		switch err {
+		case nil:
+		case io.EOF, io.ErrUnexpectedEOF:
+			eof = true
+		default:
 			return fmt.Errorf("rdf: reading turtle: %w", err)
 		}
+		carried := len(toks) // none of them is a '.'
+		var used int
+		var lexErr error
+		toks, used, line, lexErr = lexTurtle(toks, string(buf), line, eof)
+		buf = buf[:copy(buf, buf[used:])]
+		// Parse the complete statements, and at EOF the rest, before
+		// reporting a lexing error, so the error does not depend on how
+		// the reads split the document.
+		end := len(toks)
+		if !eof || lexErr != nil {
+			for end > carried && toks[end-1].kind != ttDot {
+				end--
+			}
+			if end == carried {
+				end = 0
+			}
+		}
+		p.toks, p.pos = toks[:end], 0
+		if err := p.run(); err != nil {
+			if ce, ok := err.(*consumerError); ok {
+				return ce.err
+			}
+			return fmt.Errorf("rdf: %w", err)
+		}
+		if lexErr != nil {
+			return fmt.Errorf("rdf: %w", lexErr)
+		}
+		toks = slices.Delete(toks, 0, end)
 	}
+	return nil
 }
 
 // consumerError marks an error returned by the caller's TripleFunc so it
@@ -133,239 +151,3 @@ func StreamTurtle(r io.Reader, fn TripleFunc) error {
 type consumerError struct{ err error }
 
 func (e *consumerError) Error() string { return e.err.Error() }
-func (e *consumerError) Unwrap() error { return e.err }
-
-// turtleSyntaxErr retags a tokenizer/parser error ("rdf: turtle line N:
-// ...") with the oberr taxonomy so errors.Is(err, oberr.ErrBadSyntax)
-// holds for streaming callers (the serving layer maps it to 422), lifting
-// the line number out of the message into SyntaxError.Line so both
-// streaming formats report it structurally.
-func turtleSyntaxErr(err error) error {
-	msg := err.Error()
-	msg = strings.TrimPrefix(msg, "rdf: turtle: ")
-	msg = strings.TrimPrefix(msg, "rdf: turtle ")
-	line := 0
-	if rest, ok := strings.CutPrefix(msg, "line "); ok {
-		if num, tail, ok := strings.Cut(rest, ": "); ok {
-			if n, err := strconv.Atoi(num); err == nil {
-				line, msg = n, tail
-			}
-		}
-	}
-	return fmt.Errorf("rdf: %w", &oberr.SyntaxError{Format: "turtle", Line: line, Reason: msg})
-}
-
-// stmtChunker slices a Turtle byte stream into chunks that end exactly at
-// a top-level statement terminator '.', reading fixed-size blocks and
-// keeping only the bytes of the statement in flight. Its state machine
-// tracks the lexical contexts in which a '.' is NOT a terminator —
-// comments, <IRI>s, short and long string literals (with escapes), blank
-// node labels, and decimals ('.' followed by a digit) — replicating
-// exactly where tokenizeTurtle would emit a ttDot token. Chunk boundaries
-// therefore always coincide with batch token boundaries, which is what
-// makes StreamTurtle accept-equivalent to ReadTurtle.
-type stmtChunker struct {
-	r    io.Reader
-	buf  []byte // unconsumed bytes of the stream
-	n    int    // scan position: buf[:n] has been classified
-	drop int    // bytes of buf already returned to the caller
-	st   chunkState
-	eof  bool
-}
-
-type chunkState int
-
-const (
-	csDefault chunkState = iota
-	csComment
-	csIRI
-	csShort
-	csShortEsc
-	csLong
-	csLongEsc
-	csBlank
-)
-
-// next returns the next chunk of input ending right after a top-level
-// '.', or the final remainder together with io.EOF. The returned slice is
-// only valid until the following next call.
-func (c *stmtChunker) next() ([]byte, error) {
-	if c.drop > 0 {
-		c.buf = append(c.buf[:0], c.buf[c.drop:]...)
-		c.n -= c.drop
-		c.drop = 0
-	}
-	for {
-		if end, ok := c.scan(); ok {
-			c.drop = end
-			return c.buf[:end], nil
-		}
-		if c.eof {
-			c.drop = len(c.buf)
-			c.n = len(c.buf)
-			return c.buf, io.EOF
-		}
-		if err := c.fill(); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// fill reads one more block from the underlying reader into buf, growing
-// capacity geometrically so buffering one huge statement (a multi-MB long
-// string) stays linear in its size rather than quadratic.
-func (c *stmtChunker) fill() error {
-	const block = 32 * 1024
-	if cap(c.buf)-len(c.buf) < block {
-		newCap := 2 * cap(c.buf)
-		if newCap < len(c.buf)+block {
-			newCap = len(c.buf) + block
-		}
-		grown := make([]byte, len(c.buf), newCap)
-		copy(grown, c.buf)
-		c.buf = grown
-	}
-	n, err := c.r.Read(c.buf[len(c.buf):cap(c.buf)])
-	c.buf = c.buf[:len(c.buf)+n]
-	if err == io.EOF {
-		c.eof = true
-		return nil
-	}
-	return err
-}
-
-// scan advances the state machine over the unclassified tail of buf. It
-// returns (end, true) when a terminator '.' was found at buf[end-1], or
-// (0, false) when more input is needed — either because the buffer ran
-// out or because a classification (long-string open/close, decimal
-// lookahead) needs bytes not yet read. At EOF missing lookahead bytes are
-// treated as absent, matching how the batch tokenizer sees the document
-// end.
-func (c *stmtChunker) scan() (int, bool) {
-	for c.n < len(c.buf) {
-		b := c.buf[c.n]
-		switch c.st {
-		case csDefault:
-			switch b {
-			case '#':
-				c.st = csComment
-				c.n++
-			case '<':
-				c.st = csIRI
-				c.n++
-			case '"':
-				if c.n+2 >= len(c.buf) && !c.eof {
-					return 0, false // need lookahead to classify """ vs "
-				}
-				switch {
-				case c.n+2 < len(c.buf) && c.buf[c.n+1] == '"' && c.buf[c.n+2] == '"':
-					c.st = csLong
-					c.n += 3
-				case c.n+1 < len(c.buf) && c.buf[c.n+1] == '"':
-					c.n += 2 // empty short string ""
-				default:
-					c.st = csShort
-					c.n++
-				}
-			case '.':
-				if c.n+1 >= len(c.buf) && !c.eof {
-					return 0, false
-				}
-				if c.n+1 < len(c.buf) && c.buf[c.n+1] >= '0' && c.buf[c.n+1] <= '9' {
-					c.n++ // decimal like .5 or 3.14: the '.' is part of a number
-					continue
-				}
-				c.n++
-				return c.n, true
-			case '_':
-				if c.n+1 >= len(c.buf) && !c.eof {
-					return 0, false
-				}
-				if c.n+1 < len(c.buf) && c.buf[c.n+1] == ':' {
-					c.st = csBlank
-					c.n += 2
-				} else {
-					c.n++
-				}
-			default:
-				c.n++
-			}
-		case csComment:
-			if b == '\n' {
-				c.st = csDefault
-			}
-			c.n++
-		case csIRI:
-			if b == '>' {
-				c.st = csDefault
-			}
-			c.n++
-		case csShort:
-			switch b {
-			case '\\':
-				if c.n+1 >= len(c.buf) && !c.eof {
-					return 0, false
-				}
-				if c.n+1 < len(c.buf) {
-					c.st = csShortEsc
-				}
-				c.n++
-			case '"':
-				c.st = csDefault
-				c.n++
-			default:
-				c.n++
-			}
-		case csShortEsc:
-			c.st = csShort
-			c.n++
-		case csLong:
-			switch b {
-			case '"':
-				if c.n+2 >= len(c.buf) && !c.eof {
-					return 0, false
-				}
-				if c.n+2 < len(c.buf) && c.buf[c.n+1] == '"' && c.buf[c.n+2] == '"' {
-					c.st = csDefault
-					c.n += 3
-				} else {
-					c.n++
-				}
-			case '\\':
-				if c.n+1 >= len(c.buf) && !c.eof {
-					return 0, false
-				}
-				if c.n+1 < len(c.buf) {
-					c.st = csLongEsc
-				}
-				c.n++
-			default:
-				c.n++
-			}
-		case csLongEsc:
-			c.st = csLong
-			c.n++
-		case csBlank:
-			switch {
-			case b == '.':
-				if c.n+1 >= len(c.buf) && !c.eof {
-					return 0, false
-				}
-				if c.n+1 < len(c.buf) && isBlankLabelByte(c.buf[c.n+1]) {
-					c.n++ // internal dot stays in the label (_:a.b)
-					continue
-				}
-				// Trailing dot: the tokenizer strips it from the label and
-				// re-reads it as the statement terminator.
-				c.st = csDefault
-				c.n++
-				return c.n, true
-			case isBlankLabelByte(b):
-				c.n++
-			default:
-				c.st = csDefault // re-examine this byte in the default state
-			}
-		}
-	}
-	return 0, false
-}

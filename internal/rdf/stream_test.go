@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
+	"time"
 
 	"openbi/internal/oberr"
 	"openbi/internal/table"
@@ -69,12 +72,17 @@ func collectStream(t *testing.T, data []byte, format string) (*Graph, error) {
 	return g, err
 }
 
+// sameGraph reports whether two graphs hold the same triple set.
 func sameGraph(a, b *Graph) bool {
 	if a.Len() != b.Len() {
 		return false
 	}
+	in := make(map[Triple]bool, a.Len())
 	for _, tr := range a.Triples() {
-		if !b.Has(tr) {
+		in[tr] = true
+	}
+	for _, tr := range b.Triples() {
+		if !in[tr] {
 			return false
 		}
 	}
@@ -104,11 +112,57 @@ func TestStreamNTriplesMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestStreamTurtleMatchesBatch covers the chunker against both the Turtle
-// writer's output (prefixes, ';'/',' abbreviation) and hand-written edge
-// cases targeting every place a '.' is not a statement terminator.
+// fixedReads delivers at most n bytes per Read.
+type fixedReads struct {
+	r io.Reader
+	n int
+}
+
+func (f fixedReads) Read(p []byte) (int, error) { return f.r.Read(p[:min(len(p), f.n)]) }
+
+// streamTurtle collects the triples StreamTurtle delivers from r, in order,
+// up to its error.
+func streamTurtle(r io.Reader) ([]Triple, error) {
+	var got []Triple
+	err := StreamTurtle(r, func(tr Triple) error {
+		got = append(got, tr)
+		return nil
+	})
+	return got, err
+}
+
+// checkReadSplits decodes doc in one read, in one-byte reads, in halves
+// of each request (iotest.HalfReader) and in 7-byte reads. Every split must
+// give the verdict, the triples in order and the error text of the single
+// read, which it returns.
+func checkReadSplits(t *testing.T, doc string) ([]Triple, error) {
+	t.Helper()
+	want, werr := streamTurtle(strings.NewReader(doc))
+	for _, split := range []struct {
+		name string
+		r    io.Reader
+	}{
+		{"one-byte reads", iotest.OneByteReader(strings.NewReader(doc))},
+		{"half reads", iotest.HalfReader(strings.NewReader(doc))},
+		{"7-byte reads", fixedReads{strings.NewReader(doc), 7}},
+	} {
+		got, err := streamTurtle(split.r)
+		if fmt.Sprint(err) != fmt.Sprint(werr) || !slices.Equal(got, want) {
+			t.Fatalf("%s diverge from one read:\n%s: %d triples, err %v\none read: %d triples, err %v\ndoc: %q",
+				split.name, split.name, len(got), err, len(want), werr, doc)
+		}
+	}
+	return want, werr
+}
+
+// TestStreamTurtleMatchesBatch reads the Turtle writer's output (prefixes,
+// ';'/',' abbreviation) and hand-written edge cases aimed at every place a
+// '.' does not end a statement, both whole and split at every offset the
+// read patterns of checkReadSplits produce: the split reads must match the
+// single read, the accepted documents must parse and the rejected ones
+// must fail with ErrBadSyntax.
 func TestStreamTurtleMatchesBatch(t *testing.T) {
-	docs := []string{
+	accepted := []string{
 		"",
 		"# only a comment\n",
 		"@prefix ex: <http://ex.org/> .\nex:a ex:b ex:c .",
@@ -127,7 +181,9 @@ func TestStreamTurtleMatchesBatch(t *testing.T) {
 		"<http://a> <http://b> \"v\"@en-GB ; <http://c> 42, true, false .",
 		"<http://a> <http://b> \"typed\"^^<http://dt.org/t> .",
 		"@prefix : <http://ex.org/> .\n:a :b :c .",
-		// Rejected documents: both paths must reject.
+		"<http://a> <http://b> 1e+5, -2.5E-3, +7 .",
+	}
+	rejected := []string{
 		"ex:a ex:b ex:c .",                 // undeclared prefix
 		"<http://a> <http://b> <http://c>", // missing final dot
 		"<http://a> <http://b> 'bad' .",
@@ -135,6 +191,7 @@ func TestStreamTurtleMatchesBatch(t *testing.T) {
 		"<http://a> <http://b> <never-closed .",
 		"<http://a> .",
 		". .",
+		"<http://a> <http://b> <http://c> .\n0.A00", // lexing error after a complete statement
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		g := randomGraph(seed, 25)
@@ -142,57 +199,68 @@ func TestStreamTurtleMatchesBatch(t *testing.T) {
 		if err := WriteTurtle(&buf, g, map[string]string{"ex": "http://ex.org/def/"}); err != nil {
 			t.Fatal(err)
 		}
-		docs = append(docs, buf.String())
+		accepted = append(accepted, buf.String())
 	}
-	for i, doc := range docs {
-		batch, berr := ReadTurtle(strings.NewReader(doc))
-		streamed, serr := collectStream(t, []byte(doc), "ttl")
-		if (berr == nil) != (serr == nil) {
-			t.Fatalf("doc %d: accept mismatch: batch err=%v, stream err=%v\ndoc: %q", i, berr, serr, doc)
+	for _, doc := range accepted {
+		if _, err := checkReadSplits(t, doc); err != nil {
+			t.Fatalf("rejected %q: %v", doc, err)
 		}
-		if berr != nil {
-			continue
-		}
-		if !sameGraph(batch, streamed) {
-			t.Fatalf("doc %d: stream (%d triples) != batch (%d)\ndoc: %q", i, streamed.Len(), batch.Len(), doc)
+	}
+	for _, doc := range rejected {
+		if _, err := checkReadSplits(t, doc); !errors.Is(err, oberr.ErrBadSyntax) {
+			t.Fatalf("%q: err = %v, want ErrBadSyntax", doc, err)
 		}
 	}
 }
 
-// TestStreamTurtleSmallChunks forces tiny reads so every lookahead pause
-// in the chunker is exercised.
+// TestStreamTurtleSmallChunks decodes a document one byte per read, so a
+// window boundary falls inside every token, and checks it against
+// ReadTurtle's single read.
 func TestStreamTurtleSmallChunks(t *testing.T) {
 	doc := "@prefix ex: <http://ex.org/> .\nex:a ex:b \"\"\"x.\"\"\", 3.5, _:l.m ; ex:c ex:d .\n"
 	batch, err := ReadTurtle(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGraph()
-	err = StreamTurtle(&oneByteReader{data: []byte(doc)}, func(tr Triple) error {
-		g.Add(tr)
-		return nil
-	})
+	got, err := streamTurtle(iotest.OneByteReader(strings.NewReader(doc)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameGraph(batch, g) {
-		t.Fatalf("one-byte-read stream diverged: %d vs %d triples", g.Len(), batch.Len())
+	if !slices.Equal(got, batch.Triples()) {
+		t.Fatalf("one-byte-read stream diverged: %v vs %v", got, batch.Triples())
 	}
 }
 
-// oneByteReader yields one byte per Read, like iotest.OneByteReader.
-type oneByteReader struct {
-	data []byte
-	pos  int
-}
-
-func (r *oneByteReader) Read(p []byte) (int, error) {
-	if r.pos >= len(r.data) {
-		return 0, io.EOF
+// TestStreamTurtleLongLiteral feeds a 4 MB long string in 512-byte reads.
+// Each refill reads at least as much as is pending, so the literal is
+// rescanned O(log n) times and the decode takes a small multiple of one
+// read's; a rescan per Read takes minutes.
+func TestStreamTurtleLongLiteral(t *testing.T) {
+	part := "0123456789 \"q\" \"\"qq\"\" \\t.\n" // quotes, an escape, a dot, a newline
+	body := strings.Repeat(part, (4<<20)/len(part))
+	doc := "<http://a> <http://p> \"\"\"" + body + "\"\"\" .\n<http://a> <http://q> 1 ."
+	start := time.Now()
+	if _, err := streamTurtle(strings.NewReader(doc)); err != nil {
+		t.Fatal(err)
 	}
-	p[0] = r.data[r.pos]
-	r.pos++
-	return 1, nil
+	whole := time.Since(start)
+	start = time.Now()
+	got, err := streamTurtle(fixedReads{strings.NewReader(doc), 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := time.Since(start)
+	t.Logf("%d-byte literal: %v in one read, %v in 512-byte reads", len(body), whole, split)
+	if split > 20*whole+time.Second {
+		t.Fatalf("512-byte reads took %v, one read %v: the literal is rescanned per Read", split, whole)
+	}
+	want := strings.ReplaceAll(body, `\t`, "\t")
+	if len(got) != 2 {
+		t.Fatalf("got %d triples, want 2", len(got))
+	}
+	if got[0].O != NewLiteral(want) || got[1].O != NewTypedLiteral("1", XSDInteger) {
+		t.Fatalf("objects differ: literal of %d bytes (want %d), then %v", len(got[0].O.Value), len(want), got[1].O)
+	}
 }
 
 // TestStreamConsumerErrorPropagates checks that a TripleFunc error stops

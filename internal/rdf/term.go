@@ -1,8 +1,9 @@
 // Package rdf implements the Linked Open Data substrate of the OpenBI
-// reproduction: RDF terms and triples, an indexed in-memory triple store,
-// N-Triples and Turtle (subset) parsing and serialization, link statistics,
-// and the entity→table projection the paper's "LOD integration module"
-// (§3.3) performs to obtain a common representation from LOD.
+// reproduction: RDF terms and triples, an in-memory graph (a deduplicated
+// triple list), streaming N-Triples and Turtle (subset) parsing and
+// serialization, link statistics, and the entity→table projection the
+// paper's "LOD integration module" (§3.3) performs to obtain a common
+// representation from LOD.
 package rdf
 
 import (
@@ -165,38 +166,47 @@ func (tr Triple) String() string {
 	return tr.S.String() + " " + tr.P.String() + " " + tr.O.String() + " ."
 }
 
-// escapeIRI makes an IRI safe inside <...>: characters the N-Triples
-// grammar forbids there — controls, space, the bracket/quote set and '\'
-// itself — become \uXXXX escapes, which the parser decodes back. Parsing
-// can produce such values legitimately (a > escape decodes to '>');
+// escapeIRI makes an IRI safe inside <...>: bytes the N-Triples grammar
+// forbids there — controls, space, the bracket/quote set and '\' itself —
+// become \uXXXX escapes, which the parser decodes back. Parsing can
+// produce such values legitimately (a \u003E escape decodes to '>');
 // without re-escaping, writing them would tear the output line apart and
-// break parse→write→parse round-trips (found by FuzzParseNTriples).
+// break parse→write→parse round-trips (found by FuzzParseNTriples). Every
+// escaped byte is ASCII, so the rest, invalid UTF-8 included, is copied
+// through byte for byte.
 func escapeIRI(s string) string {
-	needsEscape := func(r rune) bool {
-		switch r {
+	needsEscape := func(c byte) bool {
+		switch c {
 		case '<', '>', '"', '{', '}', '|', '^', '`', '\\':
 			return true
 		}
-		return r <= 0x20
+		return c <= 0x20
 	}
-	if !strings.ContainsFunc(s, needsEscape) {
+	i := 0
+	for i < len(s) && !needsEscape(s[i]) {
+		i++
+	}
+	if i == len(s) {
 		return s
 	}
 	var b strings.Builder
-	for _, r := range s {
-		if needsEscape(r) {
-			fmt.Fprintf(&b, `\u%04X`, r)
+	b.WriteString(s[:i])
+	for ; i < len(s); i++ {
+		if c := s[i]; needsEscape(c) {
+			fmt.Fprintf(&b, `\u%04X`, c)
 		} else {
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()
 }
 
+// escapeLiteral escapes a literal's lexical form for a quoted string,
+// byte for byte, so invalid UTF-8 survives a write→parse round trip.
 func escapeLiteral(s string) string {
 	var b strings.Builder
-	for _, r := range s {
-		switch r {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
 		case '\\':
 			b.WriteString(`\\`)
 		case '"':
@@ -208,7 +218,7 @@ func escapeLiteral(s string) string {
 		case '\t':
 			b.WriteString(`\t`)
 		default:
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()

@@ -1,9 +1,15 @@
 package rdf
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"strings"
+
+	"openbi/internal/oberr"
 )
 
 // ReadTurtle parses a practical subset of Turtle into a graph:
@@ -19,23 +25,21 @@ import (
 // Collections and anonymous blank-node property lists are not supported —
 // open-data Turtle exports in the wild virtually never use them, and the
 // synthetic LOD generators in this repository do not emit them.
-func ReadTurtle(r io.Reader) (*Graph, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("rdf: reading turtle: %w", err)
-	}
-	toks, err := tokenizeTurtle(string(raw))
-	if err != nil {
-		return nil, err
-	}
-	g := NewGraph()
-	p := &turtleParser{toks: toks, prefixes: map[string]string{},
-		emit: func(tr Triple) error { g.Add(tr); return nil }}
-	if err := p.run(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
+//
+// It is StreamTurtle collected into a Graph.
+func ReadTurtle(r io.Reader) (*Graph, error) { return readGraph(r, StreamTurtle) }
+
+const (
+	// turtleWindow is the size of StreamTurtle's read buffer; it grows
+	// only to hold a token in flight that is longer.
+	turtleWindow = 64 << 10
+	// turtleLookahead is the most bytes after a token's end that lexing
+	// reads to decide the token: a 1 followed by e+5 is the number 1e+5.
+	turtleLookahead = 3
+	// bareWordStop holds the bytes that end a bare word: a prefixed name,
+	// 'a', true/false or PREFIX/BASE.
+	bareWordStop = " \t\r\n;,.#<>\"^@"
+)
 
 // ttKind classifies Turtle tokens.
 type ttKind int
@@ -63,178 +67,182 @@ type ttToken struct {
 	line int
 }
 
-func tokenizeTurtle(s string) ([]ttToken, error) {
-	return tokenizeTurtleInto(nil, s, 1)
+// turtleErr is a Turtle syntax error on the given line (0 when unknown).
+func turtleErr(line int, format string, args ...any) error {
+	return &oberr.SyntaxError{Format: "turtle", Line: line, Reason: fmt.Sprintf(format, args...)}
 }
 
-// tokenizeTurtleInto appends the tokens of s to dst (reusing its capacity)
-// with line numbers counted from startLine — the form the streaming decoder
-// uses to tokenize one statement chunk at a time while keeping document
-// line numbers in errors.
-func tokenizeTurtleInto(dst []ttToken, s string, startLine int) ([]ttToken, error) {
-	toks := dst
-	line := startLine
+// lexTurtle appends the tokens of s to toks, counting lines from line.
+// Unless atEOF, s is a window of a longer stream, and lexTurtle stops
+// before the first token whose lexing reached within turtleLookahead bytes
+// of the window's end, since the bytes after the window could extend it or
+// change its kind. It returns the tokens, the offset and line it stopped
+// at, and the lexing error found there, if any.
+func lexTurtle(toks []ttToken, s string, line int, atEOF bool) ([]ttToken, int, int, error) {
 	i := 0
-	emit := func(k ttKind, v string) { toks = append(toks, ttToken{k, v, line}) }
 	for i < len(s) {
-		c := s[i]
-		switch {
-		case c == '\n':
+		switch s[i] {
+		case '\n':
 			line++
 			i++
-		case c == ' ' || c == '\t' || c == '\r':
+			continue
+		case ' ', '\t', '\r':
 			i++
-		case c == '#':
-			for i < len(s) && s[i] != '\n' {
-				i++
+			continue
+		case '#':
+			if k := strings.IndexByte(s[i:], '\n'); k >= 0 {
+				i += k
+				continue
 			}
-		case c == '<':
-			j := strings.IndexByte(s[i:], '>')
-			if j < 0 {
-				return nil, fmt.Errorf("rdf: turtle line %d: unterminated IRI", line)
+			if !atEOF {
+				return toks, i, line, nil
 			}
-			emit(ttIRI, unescapeUnicode(s[i+1:i+j]))
-			i += j + 1
-		case c == '"':
-			val, consumed, err := scanTurtleString(s[i:])
-			if err != nil {
-				return nil, fmt.Errorf("rdf: turtle line %d: %w", line, err)
-			}
-			line += strings.Count(s[i:i+consumed], "\n")
-			emit(ttString, val)
-			i += consumed
-		case c == '@':
-			j := i + 1
-			for j < len(s) && (isAlnumByte(s[j]) || s[j] == '-') {
-				j++
-			}
-			word := s[i+1 : j]
-			switch strings.ToLower(word) {
-			case "prefix":
-				emit(ttAtPrefix, "")
-			case "base":
-				emit(ttAtBase, "")
-			default:
-				emit(ttLangTag, word)
-			}
-			i = j
-		case c == '^':
-			if i+1 < len(s) && s[i+1] == '^' {
-				emit(ttCaret, "")
-				i += 2
-			} else {
-				return nil, fmt.Errorf("rdf: turtle line %d: stray '^'", line)
-			}
-		case c == '.':
-			// '.' may start a decimal like .5 — only when followed by a digit.
-			if i+1 < len(s) && s[i+1] >= '0' && s[i+1] <= '9' {
-				j, v := scanTurtleNumber(s, i)
-				emit(ttNumber, v)
-				i = j
-			} else {
-				emit(ttDot, "")
-				i++
-			}
-		case c == ';':
-			emit(ttSemi, "")
-			i++
-		case c == ',':
-			emit(ttComma, "")
-			i++
-		case c == '_' && i+1 < len(s) && s[i+1] == ':':
-			j := i + 2
-			for j < len(s) && isBlankLabelByte(s[j]) {
-				j++
-			}
-			// A trailing '.' belongs to the statement terminator, not the label.
-			for j > i+2 && s[j-1] == '.' {
-				j--
-			}
-			if j == i+2 {
-				return nil, fmt.Errorf("rdf: turtle line %d: empty blank node label", line)
-			}
-			emit(ttBlank, s[i+2:j])
-			i = j
-		case c == '+' || c == '-' || (c >= '0' && c <= '9'):
-			j, v := scanTurtleNumber(s, i)
-			emit(ttNumber, v)
-			i = j
-		default:
-			// Bare word: 'a', true/false, or a prefixed name.
-			j := i
-			for j < len(s) && !strings.ContainsRune(" \t\r\n;,.#<>\"^@", rune(s[j])) {
-				j++
-			}
-			// Statement-final '.' glued to a pname was excluded above; but a
-			// pname may legally contain dots internally (rare) — we stop at
-			// any '.', which the subset accepts.
-			word := s[i:j]
-			if word == "" {
-				return nil, fmt.Errorf("rdf: turtle line %d: unexpected character %q", line, c)
-			}
-			switch word {
-			case "a":
-				emit(ttA, "")
-			case "true", "false":
-				emit(ttBoolean, word)
-			case "PREFIX", "prefix":
-				emit(ttAtPrefix, "")
-			case "BASE", "base":
-				emit(ttAtBase, "")
-			default:
-				if !strings.Contains(word, ":") {
-					return nil, fmt.Errorf("rdf: turtle line %d: unexpected token %q", line, word)
-				}
-				emit(ttPName, word)
-			}
-			i = j
+			return toks, len(s), line, nil
 		}
+		kind, val, end, seen, err := scanTurtleToken(s, i)
+		if !atEOF && len(s)-seen < turtleLookahead {
+			break
+		}
+		if err != nil {
+			return toks, i, line, turtleErr(line, "%v", err)
+		}
+		toks = append(toks, ttToken{kind, val, line})
+		if kind == ttString {
+			line += strings.Count(s[i:end], "\n")
+		}
+		i = end
 	}
-	return toks, nil
+	return toks, i, line, nil
 }
 
-// scanTurtleString scans a quoted literal starting at s[0]=='"', returning
-// the unescaped value and the number of bytes consumed. Both short ("...")
-// and long ("""...""") forms are handled.
+// scanTurtleToken lexes the token at s[i], which is neither blank nor a
+// comment. It returns the token's kind and value, the offset after it, and
+// seen, the offset up to which its bytes were read: the end, or for a
+// blank node label the end before a trailing '.' is given back. On error,
+// seen is where lexing stopped, len(s) if s ran out first.
+func scanTurtleToken(s string, i int) (kind ttKind, val string, end, seen int, err error) {
+	switch c := s[i]; {
+	case c == '<':
+		j := strings.IndexByte(s[i:], '>')
+		if j < 0 {
+			return 0, "", 0, len(s), errors.New("unterminated IRI")
+		}
+		end = i + j + 1
+		return ttIRI, unescapeUnicode(s[i+1 : end-1]), end, end, nil
+	case c == '"':
+		val, n, err := scanTurtleString(s[i:])
+		return ttString, val, i + n, i + n, err
+	case c == '@':
+		j := i + 1
+		for j < len(s) && (isAlnumByte(s[j]) || s[j] == '-') {
+			j++
+		}
+		word := s[i+1 : j]
+		switch {
+		case strings.EqualFold(word, "prefix"):
+			return ttAtPrefix, "", j, j, nil
+		case strings.EqualFold(word, "base"):
+			return ttAtBase, "", j, j, nil
+		}
+		return ttLangTag, word, j, j, nil
+	case c == '^':
+		if i+1 < len(s) && s[i+1] == '^' {
+			return ttCaret, "", i + 2, i + 2, nil
+		}
+		return 0, "", 0, min(i+2, len(s)), errors.New("stray '^'")
+	case c == '.':
+		// '.' may start a decimal like .5 — only when followed by a digit.
+		if i+1 < len(s) && isDigit(s[i+1]) {
+			j, v := scanTurtleNumber(s, i)
+			return ttNumber, v, j, j, nil
+		}
+		return ttDot, "", i + 1, i + 1, nil
+	case c == ';':
+		return ttSemi, "", i + 1, i + 1, nil
+	case c == ',':
+		return ttComma, "", i + 1, i + 1, nil
+	case c == '_' && i+1 < len(s) && s[i+1] == ':':
+		run := i + 2
+		for run < len(s) && isBlankLabelByte(s[run]) {
+			run++
+		}
+		// A trailing '.' belongs to the statement terminator, not the label.
+		j := run
+		for j > i+2 && s[j-1] == '.' {
+			j--
+		}
+		if j == i+2 {
+			return 0, "", 0, run, errors.New("empty blank node label")
+		}
+		return ttBlank, s[i+2 : j], j, run, nil
+	case c == '+' || c == '-' || isDigit(c):
+		j, v := scanTurtleNumber(s, i)
+		return ttNumber, v, j, j, nil
+	}
+	// Bare word: 'a', true/false, or a prefixed name.
+	j := i
+	for j < len(s) && !strings.ContainsRune(bareWordStop, rune(s[j])) {
+		j++
+	}
+	// A pname may legally contain dots internally (rare), but the subset
+	// stops it at any '.', so a statement-final '.' is never glued to it.
+	switch word := s[i:j]; word {
+	case "":
+		return 0, "", 0, i + 1, fmt.Errorf("unexpected character %q", s[i])
+	case "a":
+		return ttA, "", j, j, nil
+	case "true", "false":
+		return ttBoolean, word, j, j, nil
+	case "PREFIX", "prefix":
+		return ttAtPrefix, "", j, j, nil
+	case "BASE", "base":
+		return ttAtBase, "", j, j, nil
+	default:
+		if !strings.Contains(word, ":") {
+			return 0, "", 0, j, fmt.Errorf("unexpected token %q", word)
+		}
+		return ttPName, word, j, j, nil
+	}
+}
+
+// scanTurtleString scans the quoted literal at s[0] == '"', short ("...")
+// or long ("""..."""), and returns its unescaped value and the offset after
+// it. On error the offset is where scanning stopped, len(s) if s ran out.
 func scanTurtleString(s string) (string, int, error) {
-	long := strings.HasPrefix(s, `"""`)
-	var body strings.Builder
-	i := 1
-	if long {
-		i = 3
+	q, stop := `"`, "\"\\\n"
+	if strings.HasPrefix(s, `"""`) {
+		q, stop = `"""`, "\"\\"
 	}
-	for i < len(s) {
-		if long && strings.HasPrefix(s[i:], `"""`) {
-			return body.String(), i + 3, nil
+	var b strings.Builder
+	start, i := len(q), len(q) // s[start:i] is not yet copied into b
+	for {
+		k := strings.IndexAny(s[i:], stop)
+		if k < 0 {
+			return "", len(s), errors.New("unterminated string literal")
 		}
-		if !long && s[i] == '"' {
-			return body.String(), i + 1, nil
-		}
-		if s[i] == '\\' && i+1 < len(s) {
-			switch s[i+1] {
-			case 't':
-				body.WriteByte('\t')
-			case 'n':
-				body.WriteByte('\n')
-			case 'r':
-				body.WriteByte('\r')
-			case '"':
-				body.WriteByte('"')
-			case '\\':
-				body.WriteByte('\\')
-			default:
-				body.WriteByte(s[i+1])
+		i += k
+		switch {
+		case strings.HasPrefix(s[i:], q):
+			if start == len(q) { // no escapes: the value is a slice of s
+				return s[start:i], i + len(q), nil
 			}
-			i += 2
-			continue
+			b.WriteString(s[start:i])
+			return b.String(), i + len(q), nil
+		case s[i] == '"': // a lone quote inside a long string
+			i++
+		case s[i] == '\n':
+			return "", i + 1, errors.New("newline in short string literal")
+		default: // '\\'
+			r, n, err := readEscape(s[i:])
+			if err != nil {
+				return "", i + n, err
+			}
+			b.WriteString(s[start:i])
+			b.WriteRune(r)
+			i += n
+			start = i
 		}
-		if !long && s[i] == '\n' {
-			return "", 0, fmt.Errorf("newline in short string literal")
-		}
-		body.WriteByte(s[i])
-		i++
 	}
-	return "", 0, fmt.Errorf("unterminated string literal")
 }
 
 // scanTurtleNumber scans a numeric literal at position i and returns the
@@ -245,12 +253,12 @@ func scanTurtleNumber(s string, i int) (int, string) {
 		j++
 	}
 	digits := func() {
-		for j < len(s) && s[j] >= '0' && s[j] <= '9' {
+		for j < len(s) && isDigit(s[j]) {
 			j++
 		}
 	}
 	digits()
-	if j < len(s) && s[j] == '.' && j+1 < len(s) && s[j+1] >= '0' && s[j+1] <= '9' {
+	if j < len(s) && s[j] == '.' && j+1 < len(s) && isDigit(s[j+1]) {
 		j++
 		digits()
 	}
@@ -259,7 +267,7 @@ func scanTurtleNumber(s string, i int) (int, string) {
 		if k < len(s) && (s[k] == '+' || s[k] == '-') {
 			k++
 		}
-		if k < len(s) && s[k] >= '0' && s[k] <= '9' {
+		if k < len(s) && isDigit(s[k]) {
 			j = k
 			digits()
 		}
@@ -274,7 +282,7 @@ type turtleParser struct {
 	base     string
 	// emit receives each parsed triple; a non-nil return aborts parsing.
 	// Prefixes and base persist across run() calls, so the streaming
-	// decoder can feed the parser one statement chunk at a time.
+	// decoder can feed the parser the complete statements of each window.
 	emit func(Triple) error
 }
 
@@ -282,7 +290,7 @@ func (p *turtleParser) eof() bool     { return p.pos >= len(p.toks) }
 func (p *turtleParser) peek() ttToken { return p.toks[p.pos] }
 func (p *turtleParser) next() ttToken { t := p.toks[p.pos]; p.pos++; return t }
 func (p *turtleParser) errf(t ttToken, format string, args ...any) error {
-	return fmt.Errorf("rdf: turtle line %d: %s", t.line, fmt.Sprintf(format, args...))
+	return turtleErr(t.line, format, args...)
 }
 
 // run parses every directive and statement in p.toks, emitting triples
@@ -312,7 +320,7 @@ func (p *turtleParser) run() error {
 
 func (p *turtleParser) parsePrefixDecl() error {
 	if p.eof() || p.peek().kind != ttPName {
-		return fmt.Errorf("rdf: turtle: @prefix expects 'name:'")
+		return turtleErr(0, "@prefix expects 'name:'")
 	}
 	name := p.next()
 	pfx := strings.TrimSuffix(name.val, ":")
@@ -330,7 +338,7 @@ func (p *turtleParser) parsePrefixDecl() error {
 
 func (p *turtleParser) parseBaseDecl() error {
 	if p.eof() || p.peek().kind != ttIRI {
-		return fmt.Errorf("rdf: turtle: @base expects an IRI")
+		return turtleErr(0, "@base expects an IRI")
 	}
 	p.base = p.next().val
 	if !p.eof() && p.peek().kind == ttDot {
@@ -387,7 +395,7 @@ func (p *turtleParser) parseStatement() error {
 	}
 	if p.eof() || p.peek().kind != ttDot {
 		if p.eof() {
-			return fmt.Errorf("rdf: turtle: missing '.' at end of input")
+			return turtleErr(0, "missing '.' at end of input")
 		}
 		return p.errf(p.peek(), "expected '.' after statement")
 	}
@@ -397,7 +405,7 @@ func (p *turtleParser) parseStatement() error {
 
 func (p *turtleParser) parseSubject() (Term, error) {
 	if p.eof() {
-		return Term{}, fmt.Errorf("rdf: turtle: unexpected end of input (subject)")
+		return Term{}, turtleErr(0, "unexpected end of input (subject)")
 	}
 	t := p.next()
 	switch t.kind {
@@ -414,7 +422,7 @@ func (p *turtleParser) parseSubject() (Term, error) {
 
 func (p *turtleParser) parsePredicate() (Term, error) {
 	if p.eof() {
-		return Term{}, fmt.Errorf("rdf: turtle: unexpected end of input (predicate)")
+		return Term{}, turtleErr(0, "unexpected end of input (predicate)")
 	}
 	t := p.next()
 	switch t.kind {
@@ -431,7 +439,7 @@ func (p *turtleParser) parsePredicate() (Term, error) {
 
 func (p *turtleParser) parseObject() (Term, error) {
 	if p.eof() {
-		return Term{}, fmt.Errorf("rdf: turtle: unexpected end of input (object)")
+		return Term{}, turtleErr(0, "unexpected end of input (object)")
 	}
 	t := p.next()
 	switch t.kind {
@@ -460,7 +468,7 @@ func (p *turtleParser) parseObject() (Term, error) {
 		if !p.eof() && p.peek().kind == ttCaret {
 			p.next()
 			if p.eof() {
-				return Term{}, fmt.Errorf("rdf: turtle: missing datatype after '^^'")
+				return Term{}, turtleErr(0, "missing datatype after '^^'")
 			}
 			dt := p.next()
 			switch dt.kind {
@@ -494,7 +502,8 @@ func (p *turtleParser) expandPName(t ttToken) (Term, error) {
 
 // WriteTurtle serializes the graph as Turtle, grouping triples by subject
 // and abbreviating with ';' / ',' and the given prefix map (namespace IRI
-// keyed by prefix name). Subjects are emitted in deterministic order.
+// keyed by prefix name). Subjects are emitted in term order (TermLess),
+// each with its triples in insertion order.
 func WriteTurtle(w io.Writer, g *Graph, prefixes map[string]string) error {
 	// Longest-namespace-first matching for abbreviation.
 	type pfx struct{ name, ns string }
@@ -502,13 +511,12 @@ func WriteTurtle(w io.Writer, g *Graph, prefixes map[string]string) error {
 	for name, ns := range prefixes {
 		ps = append(ps, pfx{name, ns})
 	}
-	for i := 0; i < len(ps); i++ {
-		for j := i + 1; j < len(ps); j++ {
-			if len(ps[j].ns) > len(ps[i].ns) || (len(ps[j].ns) == len(ps[i].ns) && ps[j].name < ps[i].name) {
-				ps[i], ps[j] = ps[j], ps[i]
-			}
+	slices.SortFunc(ps, func(a, b pfx) int {
+		if c := cmp.Compare(len(b.ns), len(a.ns)); c != 0 {
+			return c
 		}
-	}
+		return strings.Compare(a.name, b.name)
+	})
 	abbrev := func(t Term) string {
 		if t.Kind == IRI {
 			if t.Value == RDFType {
@@ -517,7 +525,7 @@ func WriteTurtle(w io.Writer, g *Graph, prefixes map[string]string) error {
 			for _, p := range ps {
 				if strings.HasPrefix(t.Value, p.ns) {
 					local := t.Value[len(p.ns):]
-					if local != "" && !strings.ContainsAny(local, "/#:") {
+					if local != "" && !strings.ContainsAny(local, "/:"+bareWordStop) {
 						return p.name + ":" + local
 					}
 				}
@@ -528,34 +536,36 @@ func WriteTurtle(w io.Writer, g *Graph, prefixes map[string]string) error {
 
 	var b strings.Builder
 	// Deterministic prefix header: sort by name.
-	names := make([]string, 0, len(prefixes))
-	for n := range prefixes {
-		names = append(names, n)
-	}
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			if names[j] < names[i] {
-				names[i], names[j] = names[j], names[i]
-			}
-		}
-	}
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(prefixes)) {
 		fmt.Fprintf(&b, "@prefix %s: <%s> .\n", n, prefixes[n])
 	}
-	if len(names) > 0 {
+	if len(prefixes) > 0 {
 		b.WriteByte('\n')
 	}
 
-	for _, s := range g.Subjects() {
-		trs := g.Match(&s, nil, nil)
-		if len(trs) == 0 {
-			continue
+	// Group by subject: sort triple indices by subject, ties by index.
+	ts := g.Triples()
+	order := make([]int, len(ts))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if sa, sb := ts[a].S, ts[b].S; sa != sb {
+			if TermLess(sa, sb) {
+				return -1
+			}
+			return 1
 		}
+		return a - b
+	})
+	for k := 0; k < len(order); {
+		s := ts[order[k]].S
 		fmt.Fprintf(&b, "%s ", abbrev(s))
-		for i, tr := range trs {
-			if i > 0 {
+		for first := k; k < len(order) && ts[order[k]].S == s; k++ {
+			if k > first {
 				b.WriteString(" ;\n    ")
 			}
+			tr := ts[order[k]]
 			fmt.Fprintf(&b, "%s %s", abbrev(tr.P), abbrev(tr.O))
 		}
 		b.WriteString(" .\n")

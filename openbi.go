@@ -85,12 +85,6 @@ func WithProgress(sink func(Event)) RunOption { return core.WithProgress(sink) }
 // byte-identical either way.
 func WithCheckpoint(dir string) RunOption { return core.WithCheckpoint(dir) }
 
-// NewEngine returns an Engine with an empty DQ4DM knowledge base.
-//
-// Deprecated: use New(WithSeed(seed)) and the WithFolds / WithWorkers
-// options instead of the removed mutable fields.
-func NewEngine(seed int64) *Engine { return core.NewEngine(seed) }
-
 // Re-exported model types.
 type (
 	// Table is the columnar open-data table.

@@ -10,6 +10,10 @@
 #   make bench                 # default: -benchtime 1s
 #   BENCHTIME=3x make bench    # quick and dirty; the 1s default is steadier
 #   BENCH='BenchmarkServeAdvise' make bench   # subset
+#
+# Both go test runs pin -cpu 1: the committed snapshots were taken at one
+# CPU, so their benchmark names carry no -N suffix, and a run at any other
+# GOMAXPROCS would share no name with them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,7 +21,7 @@ BENCHTIME="${BENCHTIME:-1s}"
 BENCH="${BENCH:-BenchmarkF2_Phase1_|BenchmarkServeAdvise|BenchmarkF2_ShardedGrid|BenchmarkDQMeasure|BenchmarkKNNKernel|BenchmarkTreeKernel|BenchmarkOLAPRollUp|BenchmarkCleanPipeline|BenchmarkServeProfile}"
 OUT="${OUT:-BENCH_experiments.json}"
 
-go test -run '^$' -bench "$BENCH" -benchtime "$BENCHTIME" -benchmem . \
+go test -run '^$' -bench "$BENCH" -benchtime "$BENCHTIME" -benchmem -cpu 1 . \
   | go run ./scripts/benchjson > "$OUT"
 echo "wrote $OUT"
 
@@ -25,7 +29,7 @@ echo "wrote $OUT"
 # triples; B/triple must stay flat for the streaming path).
 INGEST_BENCH="${INGEST_BENCH:-BenchmarkIngestLOD}"
 INGEST_OUT="${INGEST_OUT:-BENCH_ingest.json}"
-go test -run '^$' -bench "$INGEST_BENCH" -benchtime "$BENCHTIME" -benchmem . \
+go test -run '^$' -bench "$INGEST_BENCH" -benchtime "$BENCHTIME" -benchmem -cpu 1 . \
   | go run ./scripts/benchjson > "$INGEST_OUT"
 echo "wrote $INGEST_OUT"
 
